@@ -802,9 +802,9 @@ def cmd_runtime(args) -> int:
     """Execution-backend smoke test: the SPMD primitive set plus one
     PACK/UNPACK round against the serial oracle, on the chosen backend."""
     from .core.api import pack, unpack
+    from .machine.m2m import exchange
     from .runtime import (
-        MpBackend, allreduce, alltoallv, barrier, exclusive_prefix_sum,
-        get_backend,
+        MpBackend, allreduce, barrier, exclusive_prefix_sum, get_backend,
     )
     from .workloads import make_mask
 
@@ -845,7 +845,7 @@ def cmd_runtime(args) -> int:
             ring = int(np.asarray(msg.payload)[0])
         outgoing = {q: np.full(q + 1, ctx.rank, dtype=np.int64)
                     for q in range(ctx.size) if q != ctx.rank}
-        incoming = yield from alltoallv(ctx, outgoing)
+        incoming = yield from exchange(ctx, outgoing)
         return {
             "total": total,
             "offset": offset,

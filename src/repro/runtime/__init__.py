@@ -24,7 +24,7 @@ from .base import (
     resolve_transport,
 )
 from .mp import MpBackend, MpGangError
-from .primitives import allreduce, alltoallv, barrier, exclusive_prefix_sum
+from .primitives import allreduce, barrier, exclusive_prefix_sum
 from .sim import SimBackend
 from .supervisor import (
     GangSupervisor,
@@ -56,5 +56,4 @@ __all__ = [
     "barrier",
     "allreduce",
     "exclusive_prefix_sum",
-    "alltoallv",
 ]

@@ -11,10 +11,19 @@ A :class:`Backend` decides *where* those programs execute:
   run is bit-for-bit reproducible.
 * :class:`~repro.runtime.mp.MpBackend` — one OS process per rank over
   ``multiprocessing``, with shared-memory-backed input arrays and
-  pipe/queue message transport.  Times are **wall** seconds measured on
-  the host's cores.
+  shm-ring or queue message transport, forked afresh for every op.
+  Times are **wall** seconds measured on the host's cores.
+* :class:`~repro.runtime.supervisor.GangSupervisor` — the same rank
+  processes kept as a warm gang across ops, with heartbeat supervision,
+  retry on a rebuilt gang and fallback to the simulator.
 
-Both backends run the *same* program source: the cooperative yield
+The two process-per-rank backends share one set of gang plumbing
+(:mod:`repro.runtime.gang`): rank body, result collection with failure
+classification, reap, argument check and result assembly.  Only how an
+op reaches the ranks differs — inherited at fork, or shipped to a warm
+gang.
+
+Every backend runs the *same* program source: the cooperative yield
 protocol (``yield ctx.recv(...)``, ``yield CollectiveOp(...)``) doubles as
 the transport-neutral op language, so the backend boundary sits exactly
 between the redistribution plan and the transport that executes it.
@@ -108,13 +117,10 @@ def resolve_transport(transport: str | None) -> str:
 
 
 class Deadline:
-    """One wall-clock deadline, shared by every collect loop that waits on a gang.
-
-    ``MpBackend._collect`` and ``GangSupervisor._collect_op`` used to carry
-    duplicate ``None``-or-``monotonic()+timeout`` plumbing; unifying it here
-    means a ring-wait that overruns surfaces through the same watchdog
-    attribution (which ranks are still pending, how long we waited) on both
-    paths instead of a generic wall timeout.
+    """One wall-clock deadline for a wait on a gang
+    (:meth:`repro.runtime.gang._Gang.collect`), with the watchdog
+    attribution (which ranks are still pending, how long we waited) an
+    overrun reports.
 
     A ``timeout`` of ``None`` never expires.
     """
@@ -128,11 +134,13 @@ class Deadline:
     def expired(self) -> bool:
         return self._expiry is not None and time.monotonic() >= self._expiry
 
-    def remaining(self, cap: float = 0.2) -> float:
-        """Seconds to block on the next poll: ``cap``-bounded time left."""
+    def remaining(self, cap: float | None = None) -> float | None:
+        """Seconds to block on the next wait: the time left, at most
+        ``cap`` (``None``: unbounded)."""
         if self._expiry is None:
             return cap
-        return max(0.0, min(cap, self._expiry - time.monotonic()))
+        left = max(0.0, self._expiry - time.monotonic())
+        return left if cap is None else min(cap, left)
 
     def describe(self, subject: str, pending: Iterable[int]) -> str:
         """Watchdog attribution line for an expired deadline."""
@@ -144,6 +152,18 @@ class Deadline:
 
 class BackendError(RuntimeError):
     """A backend could not run the gang (unsupported feature, bad config)."""
+
+
+def check_rank_args(nprocs: int, make_rank_args, rank_args) -> None:
+    """Reject a gang width and per-rank arguments no backend can run."""
+    if make_rank_args is not None and rank_args is not None:
+        raise ValueError("pass make_rank_args or rank_args, not both")
+    if rank_args is not None and len(rank_args) != nprocs:
+        raise ValueError(
+            f"rank_args has {len(rank_args)} entries for {nprocs} ranks"
+        )
+    if nprocs < 1:
+        raise ValueError(f"need at least one processor, got {nprocs}")
 
 
 class Backend(ABC):

@@ -56,13 +56,16 @@ and the metrics registry all work unchanged, just in a different
 
 Failure hygiene
 ---------------
-A rank that raises mid-phase ships ``("error", rank, traceback)`` home;
-the host terminates the whole gang, joins every child, closes and unlinks
-every shared-memory segment, and raises :class:`MpGangError` carrying the
-originating rank's traceback.  A rank that dies without reporting (e.g.
-killed) is detected by exit-code polling.  The host's ``finally`` block
-performs the same reaping on every path, so no children or ``/dev/shm``
-segments outlive a run.
+:class:`MpBackend` forks one gang per op through the plumbing it shares
+with the supervisor (:mod:`repro.runtime.gang`): each rank inherits its
+op, posts ``(status, rank, epoch, op_id, blob)`` home and exits.  The
+shared collect loop watches the result pipe and every rank's exit
+sentinel, and the backend turns a classified failure — a rank that
+raised (its traceback attached), died without reporting, posted a
+malformed result, or a gang past its ``timeout`` — into
+:class:`MpGangError`.  The gang is reaped on every path (children
+killed and joined, every shared-memory segment unlinked), so no
+children or ``/dev/shm`` segments outlive a run.
 
 If the *parent* itself dies mid-run (SIGTERM, interpreter exit with a
 gang still up), a process-wide emergency registry unlinks every live
@@ -84,15 +87,10 @@ the supervisor's job (:mod:`repro.runtime.supervisor`).
 from __future__ import annotations
 
 import atexit
-import multiprocessing as _mp
 import os
 import pickle
-import queue as _queue_mod
 import signal as _signal
-import time
-import traceback
 import weakref
-from multiprocessing.connection import wait as _conn_wait
 from time import monotonic, perf_counter
 from typing import Any, Callable, Mapping, Sequence
 
@@ -103,9 +101,9 @@ from ..faults.chaos import ChaosEvent, fire_chaos
 from ..machine.context import payload_words
 from ..machine.errors import CollectiveMismatchError, MessageError, ProgramError
 from ..machine.ops import ANY, CollectiveOp, Message, Recv
-from ..machine.spec import CM5, MachineSpec
-from ..machine.stats import ProcStats, RunResult, stats_from_snapshot
-from .base import Backend, BackendError, Deadline, resolve_transport
+from ..machine.spec import MachineSpec
+from ..machine.stats import ProcStats, RunResult
+from .base import Backend, BackendError, resolve_transport
 from .shm_ring import RingMatrix
 
 __all__ = ["MpBackend", "MpGangError", "register_for_cleanup"]
@@ -114,10 +112,6 @@ __all__ = ["MpBackend", "MpGangError", "register_for_cleanup"]
 #: use non-negative tags, so these can never collide.
 _COLL_CONTRIB = -101
 _COLL_RESULT = -102
-
-#: Child exit code used when the program raised (after the traceback was
-#: shipped home on the result queue).
-_CHILD_FAILED = 70
 
 #: Profile span kinds, as stored in the shared-memory ring buffers (see
 #: :class:`_ProfileBuffers`).  ``fork`` and ``compute`` have no ring kind:
@@ -247,15 +241,33 @@ def _attach_shm(name: str):
         resource_tracker.register = orig
 
 
+def _release(seg, unlink: bool) -> None:
+    """Unmap ``seg`` and, for its owner, unlink its name.
+
+    ``BufferError`` means a numpy view is still exported; the mapping then
+    lives until the rank's next op or exit — harmless, the owner's unlink
+    removes the name either way.
+    """
+    try:
+        seg.close()
+    except (OSError, BufferError):
+        pass
+    if unlink:
+        try:
+            seg.unlink()
+        except FileNotFoundError:
+            pass
+
+
 # --------------------------------------------------------------------- shm
 class _ShmArena:
     """Host-owned shared-memory segments holding the global input arrays.
 
-    Two ways for a rank to see the arrays: the one-shot backend creates
-    the arena *before* forking so children inherit the mappings directly;
-    a persistent gang (forked before the op existed) instead receives the
-    picklable :meth:`descriptor` and re-attaches by name —
-    :meth:`attach` / :meth:`close` — with tracker registration suppressed.
+    Two ways for a rank to see the arrays: a cold gang is forked *after*
+    the arena exists, so its ranks inherit the mappings directly; a warm
+    gang (forked before the op existed) instead receives the picklable
+    :meth:`descriptor` and re-attaches by name — :meth:`attach` /
+    :meth:`close` — with tracker registration suppressed.
     Either way the host stays the sole owner and the only unlinker, on
     every path up to and including parent death (``register_for_cleanup``).
     """
@@ -313,38 +325,14 @@ class _ShmArena:
         return out
 
     def close(self) -> None:
-        """Drop a non-owning attachment's mappings (worker side).
-
-        ``BufferError`` means a numpy view is still exported; the mapping
-        then lives until the worker's next op or exit — harmless, the
-        host's unlink removes the name either way.
-        """
+        """Drop this view's mappings; the host's owning view also unlinks
+        the segments (exactly once: a second call finds none left)."""
         segments, self._segments = self._segments, []
         self._meta = {}
         for seg in segments:
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
+            _release(seg, unlink=self._owner)
 
-    def destroy(self) -> None:
-        """Close and unlink every segment (host side, exactly once)."""
-        if not self._owner:
-            self.close()
-            return
-        segments, self._segments = self._segments, []
-        self._meta = {}
-        for seg in segments:
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:
-                pass
-
-    _emergency_cleanup = destroy
+    destroy = _emergency_cleanup = close
 
 
 # --------------------------------------------------------------- profiling
@@ -434,15 +422,6 @@ class _ProfileBuffers:
         self._seg = _attach_shm(name)
         return self
 
-    def close(self) -> None:
-        seg, self._seg = self._seg, None
-        if seg is None:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
-
     def _views(self) -> dict[str, np.ndarray]:
         out = {}
         offset = 0
@@ -462,23 +441,13 @@ class _ProfileBuffers:
         """Host-side copies of every array (call before :meth:`destroy`)."""
         return {name: arr.copy() for name, arr in self._views().items()}
 
-    def destroy(self) -> None:
-        if not self._owner:
-            self.close()
-            return
+    def close(self) -> None:
+        """Unmap the buffers; the host's owning view also unlinks them."""
         seg, self._seg = self._seg, None
-        if seg is None:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
+        if seg is not None:
+            _release(seg, unlink=self._owner)
 
-    _emergency_cleanup = destroy
+    destroy = _emergency_cleanup = close
 
 
 class _RankRecorder:
@@ -1068,7 +1037,7 @@ class _Driver:
         self._recorder = recorder
         self._ring_wait_fired = False
         #: (epoch, op_id) wire stamp.  Every message carries its sender's
-        #: stamp; the receiver silently drops mismatches.  On a one-shot
+        #: stamp; the receiver silently drops mismatches.  On a cold
         #: gang the stamp is constant; on a supervised persistent gang it
         #: is what keeps residue from a killed attempt (messages parked in
         #: mailbox pipes when a rank died) from satisfying a receive of
@@ -1263,8 +1232,8 @@ def _run_program(
 ) -> tuple:
     """Execute one SPMD op in the calling rank process.
 
-    The shared core of the one-shot :func:`_child_main` and the
-    supervisor's persistent worker loop.  ``views`` are the rank's numpy
+    The core of every rank op, cold or warm
+    (:func:`repro.runtime.gang._run_op`).  ``views`` are the rank's numpy
     views over the arena (inherited or attached — the caller decides),
     ``rank_args`` is already this rank's own tuple (or ``None``),
     ``transport`` is the fork-shared queue/ring transport (bound to this
@@ -1320,60 +1289,6 @@ def _run_program(
     )
 
 
-def _child_main(
-    rank: int,
-    nprocs: int,
-    spec: MachineSpec,
-    program: Callable,
-    make_rank_args,
-    rank_args,
-    arena: _ShmArena,
-    profile: _ProfileBuffers | None,
-    transport,
-    result_q,
-    want_metrics: bool,
-    want_trace: bool,
-    chaos: tuple[ChaosEvent, ...] = (),
-) -> None:
-    """Entry point of one rank process (fork-inherited closure state)."""
-    t_entry = monotonic()
-    try:
-        # Fork hygiene: drop the layout-layer LRU caches inherited from
-        # the parent — they hold index maps for *every* rank and would
-        # inflate this child's resident memory; the child re-fills only
-        # its own entries (repro.hpf.caches).
-        from ..hpf.caches import clear_layout_caches
-
-        clear_layout_caches()
-        if chaos:
-            fire_chaos(chaos, "spawn")
-        recorder = None
-        if profile is not None:
-            recorder = profile.recorder(rank)
-            recorder.mark(0, t_entry)
-        result, snapshot, metrics, events = _run_program(
-            rank, nprocs, spec, program, make_rank_args,
-            rank_args[rank] if rank_args is not None else None,
-            arena.views(), transport, recorder, want_metrics, want_trace,
-            t_entry=t_entry, chaos=chaos,
-        )
-        if any(ev.kind == "poison" for ev in chaos):
-            # Poisoned result: a truncated message, exercising host-side
-            # validation instead of this rank's execution.
-            result_q.put(("ok", rank))
-        else:
-            result_q.put(("ok", rank, result, snapshot, metrics, events))
-    except BaseException:
-        try:
-            result_q.put(("error", rank, traceback.format_exc()))
-            result_q.close()
-            result_q.join_thread()
-        finally:
-            # Skip normal interpreter teardown: a failing rank must not
-            # hang flushing mailbox messages nobody will ever read.
-            os._exit(_CHILD_FAILED)
-
-
 # ----------------------------------------------------------------- backend
 class MpBackend(Backend):
     """Run SPMD programs with one OS process per rank (fork + shm + queues).
@@ -1384,12 +1299,9 @@ class MpBackend(Backend):
         optional gang wall-clock budget in seconds; on expiry the gang is
         terminated and :class:`MpGangError` raised.  ``None`` (default)
         waits indefinitely — the host still detects crashed children.
-    join_grace:
-        seconds to wait for a finished child to exit before terminating
-        it (its result is already home by then; stragglers are harmless).
     chaos:
         optional :class:`~repro.faults.chaos.ChaosPlan` of real process
-        faults (op 0 events only — the one-shot gang runs one op).  The
+        faults (op 0 events only — a cold gang runs one op).  The
         bare backend does not recover: a killed rank surfaces as
         :class:`MpGangError` through the normal failure-hygiene paths.
         Recovery belongs to
@@ -1409,13 +1321,11 @@ class MpBackend(Backend):
     time_domain = "wall"
     supports_faults = False
 
-    def __init__(self, timeout: float | None = None, join_grace: float = 5.0,
-                 chaos=None, transport: str | None = None,
-                 codec: str | None = None):
+    def __init__(self, timeout: float | None = None, chaos=None,
+                 transport: str | None = None, codec: str | None = None):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
-        self.join_grace = join_grace
         self.chaos = chaos
         self.transport = resolve_transport(transport)
         self.codec = resolve_codec(codec)
@@ -1436,185 +1346,63 @@ class MpBackend(Backend):
         time_budget: float | None = None,
         profile=None,
     ) -> RunResult:
+        from .gang import GangFailure, _Gang, assemble_run, check_run_args, rank_ops
+
         t_host0 = monotonic() if profile is not None else 0.0
-        if make_rank_args is not None and rank_args is not None:
-            raise ValueError("pass make_rank_args or rank_args, not both")
-        if rank_args is not None and len(rank_args) != nprocs:
-            raise ValueError(
-                f"rank_args has {len(rank_args)} entries for {nprocs} ranks"
-            )
-        if nprocs < 1:
-            raise ValueError(f"need at least one processor, got {nprocs}")
-        self.reject_unsupported(faults=faults)
-        if step_budget is not None or time_budget is not None:
-            raise BackendError(
-                "mp backend: watchdog budgets count simulated steps/seconds; "
-                "use MpBackend(timeout=wall_seconds) instead"
-            )
-        if "fork" not in _mp.get_all_start_methods():
-            raise BackendError(
-                "mp backend requires the 'fork' start method (POSIX); "
-                "it is unavailable on this platform"
-            )
-        if metrics is None:
-            from ..obs.registry import current_global_metrics
-
-            metrics = current_global_metrics()
-        spec = spec if spec is not None else CM5
-
-        mpctx = _mp.get_context("fork")
+        spec, metrics = check_run_args(
+            self, nprocs, make_rank_args, rank_args, faults, step_budget,
+            time_budget, spec, metrics,
+        )
+        chaos = [
+            self.chaos.events_for(0, r) if self.chaos is not None else ()
+            for r in range(nprocs)
+        ]
         arena = _ShmArena(shared or {})
         prof_bufs = None
         if profile is not None:
             prof_bufs = _ProfileBuffers(nprocs, profile.ring_capacity)
-        transport = _make_transport(self.transport, mpctx, nprocs, self.codec)
-        result_q = mpctx.Queue()
-        chaos_by_rank = {
-            r: self.chaos.events_for(0, r) for r in range(nprocs)
-        } if self.chaos is not None else {}
-        procs = [
-            mpctx.Process(
-                target=_child_main,
-                args=(
-                    r, nprocs, spec, program, make_rank_args, rank_args,
-                    arena, prof_bufs, transport, result_q,
-                    metrics is not None, tracer is not None,
-                    chaos_by_rank.get(r, ()),
-                ),
-                daemon=True,
-                name=f"repro-mp-rank-{r}",
-            )
-            for r in range(nprocs)
-        ]
-        t_spawn0 = monotonic() if profile is not None else 0.0
-        prof_data = None
-        t_spawned = t_collected = 0.0
+        gang = reports = prof_data = None
+        t_spawn0 = t_spawned = t_collected = 0.0
         try:
-            for p in procs:
-                p.start()
+            # Every rank inherits its op at fork: the callables as they
+            # are, the arena and profile rings already mapped.
+            gang = _Gang(nprocs, 0, self.transport, self.codec, spawn_chaos=chaos,
+                         ops=rank_ops({
+                             "spec": spec, "program": program,
+                             "make_rank_args": make_rank_args,
+                             "want_metrics": metrics is not None,
+                             "want_trace": tracer is not None,
+                             "arena": arena, "profile": prof_bufs,
+                         }, rank_args, chaos))
+            if profile is not None:
+                t_spawn0 = monotonic()
+            gang.start()
             if profile is not None:
                 t_spawned = monotonic()
-            reports = self._collect(procs, result_q, nprocs)
-            if profile is not None:
-                t_collected = monotonic()
-            for p in procs:
-                p.join(timeout=self.join_grace)
+            reports = gang.collect(0, self.timeout)
             if prof_bufs is not None:
-                # Every rank has reported and exited: its rows are final.
-                # Copy before the finally block unlinks the segment.
+                t_collected = monotonic()
+                # Every rank has reported: its rows are final.  Copy
+                # before the finally block unlinks the segment.
                 prof_data = prof_bufs.copy_out()
+        except GangFailure as failure:
+            raise MpGangError(failure.rank, failure.detail,
+                              child_traceback=failure.child_traceback) from None
         finally:
-            for p in procs:
-                if p.is_alive():
-                    # SIGKILL, not SIGTERM: a SIGSTOPped child (chaos, or
-                    # an operator's ^Z) never processes SIGTERM, but KILL
-                    # reaps stopped processes too.
-                    p.kill()
-            for p in procs:
-                p.join(timeout=self.join_grace)
+            if gang is not None:
+                gang.reap(graceful=reports is not None)
             arena.destroy()
             if prof_bufs is not None:
                 prof_bufs.destroy()
-            transport.host_destroy()
-            result_q.close()
-            # Never let host teardown block on unread mailbox residue.
-            result_q.cancel_join_thread()
 
-        results = []
-        stats = []
-        for r in range(nprocs):
-            result, snapshot, child_metrics, child_events = reports[r]
-            results.append(result)
-            stats.append(stats_from_snapshot(snapshot))
-            if metrics is not None and child_metrics is not None:
-                metrics.merge(child_metrics)
-            if tracer is not None and child_events:
-                tracer.events.extend(child_events)
-        run = RunResult(results=results, stats=stats, time_domain=self.time_domain)
-        if profile is not None and prof_data is not None:
+        run = assemble_run(reports, tracer, metrics)
+        if prof_data is not None:
             profile.profile = _build_mp_profile(
                 nprocs, prof_data, run,
                 t_host0, t_spawn0, t_spawned, t_collected, monotonic(),
                 transport=self.transport,
             )
         return run
-
-    # ------------------------------------------------------------ gathering
-    def _collect(self, procs, result_q, nprocs: int) -> dict[int, tuple]:
-        """Gather one report per rank, event-driven.
-
-        The parent blocks in one ``connection.wait`` on the result pipe
-        *and* every pending child's exit sentinel, bounded by the gang
-        deadline — no polling loop burning host CPU, and a silent death
-        (killed child, ``os._exit``) wakes the wait immediately instead
-        of on the next poll tick.
-        """
-        deadline = Deadline(self.timeout)
-        pending = set(range(nprocs))
-        reports: dict[int, tuple] = {}
-        reader = getattr(result_q, "_reader", None)
-        while pending:
-            msg = None
-            try:
-                msg = result_q.get_nowait()
-            except _queue_mod.Empty:
-                pass
-            if msg is None:
-                dead = sorted(
-                    r for r in pending if procs[r].exitcode is not None
-                )
-                if dead:
-                    # One more grace read: the child may have exited right
-                    # after posting its result (the feeder thread races
-                    # the exit).
-                    try:
-                        msg = result_q.get(timeout=0.5)
-                    except _queue_mod.Empty:
-                        r = dead[0]
-                        raise MpGangError(
-                            r,
-                            f"process exited with code {procs[r].exitcode} "
-                            f"without reporting a result",
-                        ) from None
-                else:
-                    if deadline.expired():
-                        raise MpGangError(
-                            None, deadline.describe("gang", pending)
-                        )
-                    sentinels = [procs[r].sentinel for r in sorted(pending)]
-                    if reader is not None:
-                        _conn_wait(
-                            [reader, *sentinels],
-                            timeout=(None if deadline.timeout is None
-                                     else deadline.remaining(cap=0.2)),
-                        )
-                    else:
-                        # No readable pipe handle on this Queue flavour:
-                        # degrade to a bounded sleep-poll.
-                        _conn_wait(sentinels, timeout=deadline.remaining(cap=0.05))
-                    continue
-            rank, report = self._validate_report(msg, nprocs)
-            reports[rank] = report
-            pending.discard(rank)
-        return reports
-
-    @staticmethod
-    def _validate_report(msg, nprocs: int) -> tuple[int, tuple]:
-        """Check one result-queue message; raise :class:`MpGangError` on a
-        malformed (poisoned / truncated) one instead of unpacking blind."""
-        if not isinstance(msg, tuple) or len(msg) < 3:
-            rank = msg[1] if isinstance(msg, tuple) and len(msg) > 1 else None
-            rank = rank if isinstance(rank, int) else None
-            raise MpGangError(rank, f"posted a malformed result message: {msg!r}")
-        if msg[0] == "error":
-            _, rank, tb = msg
-            raise MpGangError(rank, "program raised", child_traceback=tb)
-        if msg[0] != "ok" or len(msg) != 6 or not isinstance(msg[1], int) \
-                or not (0 <= msg[1] < nprocs):
-            rank = msg[1] if isinstance(msg[1], int) else None
-            raise MpGangError(rank, f"posted a malformed result message: {msg!r}")
-        _, rank, result, snapshot, child_metrics, child_events = msg
-        return rank, (result, snapshot, child_metrics, child_events)
 
 
 # ----------------------------------------------------------- profile merge

@@ -65,9 +65,9 @@ would just re-create the cycle one level down, with both ranks stuck
 draining streams whose producers are their own suspended send loops.
 
 SIGKILL of a peer mid-wait leaves counters frozen; nothing in here
-detects that, by design.  The host side (``MpBackend._collect``, the
-supervisor's heartbeat board) watches process sentinels and reaps the
-whole gang, which is what unblocks the survivors — the same recovery
+detects that, by design.  The host side (the gang's collect loop,
+:meth:`repro.runtime.gang._Gang.collect`) watches process sentinels and
+the heartbeat board and reaps the whole gang, which is what unblocks the survivors — the same recovery
 contract the queue transport had, now exercised by the ``ring_wait``
 chaos phase.
 """

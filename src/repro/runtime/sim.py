@@ -15,7 +15,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..machine.engine import Machine
 from ..machine.spec import CM5
 from ..machine.stats import RunResult
-from .base import Backend
+from .base import Backend, check_rank_args
 
 __all__ = ["SimBackend"]
 
@@ -49,8 +49,7 @@ class SimBackend(Backend):
         time_budget: float | None = None,
         profile=None,
     ) -> RunResult:
-        if make_rank_args is not None and rank_args is not None:
-            raise ValueError("pass make_rank_args or rank_args, not both")
+        check_rank_args(nprocs, make_rank_args, rank_args)
         own_tracer = tracer
         t_host0 = 0.0
         if profile is not None:

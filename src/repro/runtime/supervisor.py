@@ -5,31 +5,26 @@ fails fast on any child death.  That is the right *hygiene* baseline,
 but ``BENCH_profile.json`` shows fork/reap/shm lifecycle is about half
 of the mp slowdown at P=8 — and the paper's PACK/UNPACK primitives
 assume a gang of processors that survives the whole computation.
-:class:`GangSupervisor` provides that gang:
+:class:`GangSupervisor` provides that gang on the same plumbing as the
+cold backend (:mod:`repro.runtime.gang`: one rank body, one collect
+loop, one reap); what it adds is policy:
 
-* **Persistent & warm** — ranks are forked *once* per gang epoch and
-  then reused: each worker sits in an op-dispatch loop, receiving
-  ``(epoch, op_id, op)`` commands over a per-rank control queue,
-  attaching the host's shared-memory arena *by name* (the arena did not
-  exist at fork time), running the op through the exact same
-  :func:`~repro.runtime.mp._run_program` core as the one-shot backend,
-  and posting the result home.  A warm dispatch replaces a fork.
-* **Supervised** — every worker runs a daemon heartbeat thread beating a
-  shared-memory board; the host's collect loop multiplexes the result
-  pipe, every child's exit sentinel, the board, and the op wall
-  deadline in one ``connection.wait``.  Failures are *classified*:
-  ``rank_death`` (exit sentinel), ``heartbeat_miss`` (stale board — a
-  SIGSTOPped or livelocked rank), ``op_timeout`` (deadline with fresh
-  heartbeats — a deadlock), ``poisoned_result`` (malformed result
-  message), ``spawn_failure`` (death before ready), and the
-  non-retryable ``program_error`` (the rank itself raised).
+* **Persistent & warm** — ranks are forked *once* per gang epoch, report
+  ready, and then serve ``(op_id, op)`` commands from a per-rank control
+  queue, attaching the host's shared-memory arena *by name* (the arena
+  did not exist at fork time).  A warm dispatch replaces a fork.
+* **Supervised** — every rank beats a shared-memory heartbeat board, so
+  the shared collect loop can tell a ``heartbeat_miss`` (a SIGSTOPped or
+  livelocked rank) from an ``op_timeout`` (deadline with fresh
+  heartbeats — a deadlock), a ``rank_death``, a ``poisoned_result``, a
+  ``spawn_failure`` (death before ready) and the non-retryable
+  ``program_error`` (the rank itself raised).
 * **Recovering** — on a retryable failure the supervisor reaps the whole
-  gang (SIGKILL: stopped ranks can't process SIGTERM), rebuilds it
-  under a new epoch, and retries the in-flight op under a seeded
-  exponential-backoff-with-jitter :class:`RetryPolicy`.  Every message
-  a rank sends is stamped ``(epoch, op_id)`` and stale stamps are
-  dropped at the receiver, so an op retried after a rebuild is
-  exactly-once from the caller's view: one ``run_spmd`` call, one
+  gang, rebuilds it under a new epoch, and retries the in-flight op
+  under a seeded exponential-backoff-with-jitter :class:`RetryPolicy`.
+  Every message a rank sends is stamped ``(epoch, op_id)`` and stale
+  stamps are dropped at the receiver, so an op retried after a rebuild
+  is exactly-once from the caller's view: one ``run_spmd`` call, one
   result, bit-identical to a fault-free run.
 * **Degrading** — when the retry budget is exhausted,
   ``on_exhaustion="fallback"`` reruns the op on the in-process
@@ -37,12 +32,10 @@ assume a gang of processors that survives the whole computation.
   the ``"simulated"`` domain) instead of raising; ``"raise"`` (default)
   surfaces :class:`~repro.runtime.mp.MpGangError`.
 
-Because workers are forked *before* an op's callables exist, programs
-and ``make_rank_args`` closures are shipped through the control queue:
-pickled by reference when possible, otherwise frozen as marshalled code
-objects plus recursively-frozen defaults and closure cells and thawed
-against the worker's (fork-inherited) module globals — see
-:func:`_freeze_callable`.
+With ``RetryPolicy(max_retries=0)`` a failure surfaces with the same
+failing rank and message as on :class:`~repro.runtime.mp.MpBackend`.
+Programs and ``make_rank_args`` closures reach the warm ranks frozen
+(:func:`~repro.runtime.gang.freeze_callable`).
 
 Lifecycle events (``rank_death``, ``rebuild``, ``retry``, ``fallback``,
 ``heartbeat_miss``, ...) are appended to :attr:`SupervisorStats.events`,
@@ -59,40 +52,26 @@ exercises exhaustion and fallback deterministically.
 from __future__ import annotations
 
 import atexit
-import importlib
-import marshal
-import multiprocessing as _mp
-import os
-import pickle
-import queue as _queue_mod
 import random
-import sys
 import threading
 import time
-import traceback
-import types
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from time import monotonic
 from typing import Any, Callable, Mapping, Sequence
 
-import numpy as np
-
-from ..faults.chaos import ChaosEvent, ChaosPlan, fire_chaos
-from ..machine.spec import CM5
-from ..machine.stats import RunResult, stats_from_snapshot
-from .base import Backend, BackendError, Deadline, resolve_transport
 from ..codecs.wire import resolve_codec
-from .mp import (
-    _CHILD_FAILED,
-    MpGangError,
-    _build_mp_profile,
-    _make_transport,
-    _ProfileBuffers,
-    _ShmArena,
-    register_for_cleanup,
-    _run_program,
+from ..faults.chaos import ChaosEvent, ChaosPlan
+from ..machine.stats import RunResult
+from .base import Backend, resolve_transport
+from .gang import (
+    GangFailure,
+    _Gang,
+    assemble_run,
+    check_run_args,
+    freeze_callable,
+    rank_ops,
 )
+from .mp import MpGangError, _build_mp_profile, _ProfileBuffers, _ShmArena
 
 __all__ = [
     "GangSupervisor",
@@ -186,303 +165,6 @@ class SupervisorStats:
         }
 
 
-class _OpFailure(Exception):
-    """Internal: one attempt failed; carries the classification."""
-
-    def __init__(self, kind: str, rank: int | None, detail: str,
-                 child_traceback: str | None = None):
-        self.kind = kind
-        self.rank = rank
-        self.detail = detail
-        self.child_traceback = child_traceback
-        super().__init__(f"{kind}: {detail}")
-
-
-# --------------------------------------------------------- heartbeat board
-class _HeartbeatBoard:
-    """One float64 per rank in shared memory: last beat, CLOCK_MONOTONIC.
-
-    Created by the host *before* the fork, so workers inherit the mapping
-    and beat it from a daemon thread.  Single-writer per slot; an 8-byte
-    aligned store is atomic on every platform we run on.  A SIGSTOPped
-    worker freezes all its threads — heartbeat included — which is
-    exactly what makes a stopped rank distinguishable from a slow one.
-    """
-
-    def __init__(self, nprocs: int):
-        from multiprocessing import shared_memory
-
-        self.nprocs = nprocs
-        self._owner = True
-        self._seg = shared_memory.SharedMemory(create=True, size=8 * nprocs)
-        self._arr = np.ndarray((nprocs,), dtype=np.float64, buffer=self._seg.buf)
-        self._arr[:] = monotonic()
-        register_for_cleanup(self)
-
-    def beat(self, rank: int) -> None:
-        self._arr[rank] = monotonic()
-
-    def ages(self, now: float | None = None) -> list[float]:
-        now = monotonic() if now is None else now
-        return [float(now - t) for t in self._arr]
-
-    def destroy(self) -> None:
-        self._arr = None
-        seg, self._seg = self._seg, None
-        if seg is None or not self._owner:
-            return
-        try:
-            seg.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            pass
-
-    _emergency_cleanup = destroy
-
-
-# ---------------------------------------------------------- freeze / thaw
-def _freeze_callable(fn: Callable | None):
-    """Make ``fn`` shippable to a worker forked before ``fn`` existed.
-
-    Module-level functions pickle by reference and import cleanly, so try
-    that first.  Local closures (``pack``'s ``make_rank_args``, a test's
-    inline program) don't pickle — for plain Python functions we marshal
-    the code object and recursively freeze defaults and closure cells,
-    rebuilding the function in the worker against its fork-inherited
-    module globals (the worker forked *after* the defining module was
-    imported, including ``__main__`` and test modules, so the globals are
-    there).
-    """
-    if fn is None:
-        return None
-    try:
-        return ("pickle", pickle.dumps(fn, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        pass
-    if not isinstance(fn, types.FunctionType):
-        raise BackendError(
-            f"supervised gang cannot ship {fn!r}: not picklable and not a "
-            f"plain Python function"
-        )
-    try:
-        code = marshal.dumps(fn.__code__)
-        defaults = tuple(_freeze_value(v) for v in (fn.__defaults__ or ()))
-        kwdefaults = {
-            k: _freeze_value(v) for k, v in (fn.__kwdefaults__ or {}).items()
-        }
-        closure = tuple(
-            _freeze_value(c.cell_contents) for c in (fn.__closure__ or ())
-        )
-    except Exception as exc:
-        raise BackendError(
-            f"supervised gang cannot ship {fn.__qualname__}: closure state "
-            f"is not picklable ({exc})"
-        ) from exc
-    return ("code", code, fn.__module__, defaults, kwdefaults, closure)
-
-
-def _freeze_value(v):
-    if isinstance(v, types.FunctionType):
-        return ("fn", _freeze_callable(v))
-    return ("val", pickle.dumps(v, pickle.HIGHEST_PROTOCOL))
-
-
-def _thaw_value(blob):
-    tag, data = blob
-    if tag == "fn":
-        return _thaw_callable(data)
-    return pickle.loads(data)
-
-
-def _thaw_callable(blob) -> Callable | None:
-    if blob is None:
-        return None
-    if blob[0] == "pickle":
-        return pickle.loads(blob[1])
-    _, code_b, module, defaults, kwdefaults, closure = blob
-    code = marshal.loads(code_b)
-    mod = sys.modules.get(module)
-    if mod is None:  # pragma: no cover - fork inherits loaded modules
-        mod = importlib.import_module(module)
-    cells = tuple(types.CellType(_thaw_value(v)) for v in closure)
-    fn = types.FunctionType(
-        code, mod.__dict__, code.co_name,
-        tuple(_thaw_value(v) for v in defaults) or None,
-        cells or None,
-    )
-    if kwdefaults:
-        fn.__kwdefaults__ = {k: _thaw_value(v) for k, v in kwdefaults.items()}
-    return fn
-
-
-# ------------------------------------------------------------- worker loop
-def _worker_main(
-    rank: int,
-    nprocs: int,
-    epoch: int,
-    ctl_q,
-    transport,
-    result_q,
-    board: _HeartbeatBoard,
-    heartbeat_interval: float,
-    spawn_chaos: tuple[ChaosEvent, ...],
-) -> None:
-    """Persistent rank process: heartbeat + op-dispatch loop.
-
-    Per-gang state (queues, transport, board) is fork-inherited; per-op
-    state (arena, profile buffers, the program itself) arrives in the op
-    command and is attached by name / thawed here.  Exits only on a
-    ``shutdown`` command, an op error (after shipping the traceback), or
-    a signal.
-    """
-    # Fork hygiene, as in MpBackend's _child_main: the parent's layout
-    # LRU caches cover every rank; this worker only needs its own.
-    from ..hpf.caches import clear_layout_caches
-
-    clear_layout_caches()
-    stop = threading.Event()
-
-    def _beat():
-        while not stop.is_set():
-            board.beat(rank)
-            stop.wait(heartbeat_interval)
-
-    threading.Thread(target=_beat, daemon=True, name="heartbeat").start()
-    if spawn_chaos:
-        fire_chaos(spawn_chaos, "spawn")
-    result_q.put(("ready", rank, epoch))
-    # Per-op shm (arena, profile rings) must NOT be closed when the op
-    # finishes: queue feeder threads pickle outgoing messages (mailbox
-    # payloads sliced from arena views, the result blob) asynchronously,
-    # and ``SharedMemory.close()`` unmaps even under live numpy views —
-    # the race is a feeder-thread segfault.  By the time the *next*
-    # command arrives the host has collected every rank's result, which
-    # means every message of the previous op was received, i.e. fully
-    # serialized — only then is unmapping safe.
-    deferred_close: list[Any] = []
-    while True:
-        cmd = ctl_q.get()
-        for res in deferred_close:
-            res.close()
-        deferred_close = []
-        if cmd[0] == "shutdown":
-            break
-        _, cmd_epoch, op_id, op = cmd
-        t_entry = monotonic()
-        arena = None
-        prof = None
-        try:
-            chaos = op["chaos"]
-            recorder = None
-            if op["profile"] is not None:
-                prof = _ProfileBuffers.attach(op["profile"])
-                recorder = prof.recorder(rank)
-                recorder.mark(0, t_entry)
-            arena = _ShmArena.attach(op["arena"])
-            result, snapshot, metrics, events = _run_program(
-                rank, nprocs, op["spec"],
-                _thaw_callable(op["program"]),
-                _thaw_callable(op["make_rank_args"]),
-                op["rank_args"],
-                arena.views(), transport, recorder,
-                op["want_metrics"], op["want_trace"],
-                t_entry=t_entry, stamp=(cmd_epoch, op_id), chaos=chaos,
-            )
-            if any(ev.kind == "poison" for ev in chaos):
-                result_q.put(("ok", rank, cmd_epoch))
-            else:
-                # Serialize NOW, in this thread, while the arena is still
-                # mapped: the queue feeder pickles asynchronously, and the
-                # ``finally`` below closes (unmaps) the per-op segments —
-                # a result referencing arena-backed memory would otherwise
-                # race the feeder straight into a segfault.
-                blob = pickle.dumps(
-                    (result, snapshot, metrics, events),
-                    pickle.HIGHEST_PROTOCOL,
-                )
-                result_q.put(("ok", rank, cmd_epoch, op_id, blob))
-        except BaseException:
-            try:
-                result_q.put((
-                    "error", rank, cmd_epoch, op_id, traceback.format_exc(),
-                ))
-                result_q.close()
-                result_q.join_thread()
-            finally:
-                os._exit(_CHILD_FAILED)
-        finally:
-            if arena is not None:
-                deferred_close.append(arena)
-            if prof is not None:
-                deferred_close.append(prof)
-    stop.set()
-    result_q.close()
-    result_q.join_thread()
-    # Skip interpreter teardown: atexit hooks and queue flushing belong
-    # to the parent; a worker's job ends here.
-    os._exit(0)
-
-
-# -------------------------------------------------------------- gang state
-class _Gang:
-    """One epoch of worker processes and their fork-shared plumbing."""
-
-    def __init__(self, epoch: int, nprocs: int, mpctx, procs, ctl, transport,
-                 result_q, board: _HeartbeatBoard):
-        self.epoch = epoch
-        self.nprocs = nprocs
-        self.mpctx = mpctx
-        self.procs = procs
-        self.ctl = ctl
-        self.transport = transport
-        self.result_q = result_q
-        self.board = board
-        register_for_cleanup(self)
-
-    def healthy(self) -> bool:
-        return all(p.is_alive() for p in self.procs)
-
-    def reap(self, join_grace: float, graceful: bool) -> None:
-        if graceful and self.healthy():
-            for q in self.ctl:
-                try:
-                    q.put(("shutdown",))
-                except (OSError, ValueError):
-                    pass
-            for p in self.procs:
-                p.join(timeout=join_grace)
-        for p in self.procs:
-            if p.is_alive():
-                # SIGKILL, never SIGTERM: a SIGSTOPped worker cannot run a
-                # SIGTERM handler, but KILL reaps stopped processes too.
-                p.kill()
-        for p in self.procs:
-            p.join(timeout=join_grace)
-        self.board.destroy()
-        try:
-            self.transport.host_destroy()
-        except (OSError, ValueError):
-            pass
-        for q in [*self.ctl, self.result_q]:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except (OSError, ValueError):
-                pass
-
-    def _emergency_cleanup(self) -> None:
-        for p in self.procs:
-            if p.is_alive():
-                try:
-                    p.kill()
-                except (OSError, ValueError):
-                    pass
-        self.board.destroy()
-
-
 # --------------------------------------------------------------- chaos state
 class _ChaosState:
     """Per-supervisor delivery bookkeeping over an immutable ChaosPlan."""
@@ -531,13 +213,9 @@ class GangSupervisor(Backend):
         ``heartbeat_miss``.  The default timeout is deliberately large —
         on a loaded single-core host a busy gang legitimately starves its
         heartbeat threads for whole seconds.
-    spawn_timeout:
-        seconds to wait for every worker's ready message after a fork.
     chaos:
         optional :class:`~repro.faults.chaos.ChaosPlan`; events are
         delivered at most ``times`` attempts each (see module docstring).
-    join_grace:
-        seconds to wait for exits before escalating, as in MpBackend.
     transport / codec:
         message transport (``"ring"`` / ``"queue"``) and wire codec mode,
         resolved exactly as in :class:`~repro.runtime.mp.MpBackend` —
@@ -559,9 +237,7 @@ class GangSupervisor(Backend):
         on_exhaustion: str = "raise",
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 15.0,
-        spawn_timeout: float = 60.0,
         chaos: ChaosPlan | None = None,
-        join_grace: float = 5.0,
         transport: str | None = None,
         codec: str | None = None,
     ):
@@ -581,8 +257,6 @@ class GangSupervisor(Backend):
         self.on_exhaustion = on_exhaustion
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.spawn_timeout = spawn_timeout
-        self.join_grace = join_grace
         self.transport = resolve_transport(transport)
         self.codec = resolve_codec(codec)
         self.stats = SupervisorStats()
@@ -613,7 +287,7 @@ class GangSupervisor(Backend):
         with self._dispatch_lock:
             gang, self._gang = self._gang, None
         if gang is not None:
-            gang.reap(self.join_grace, graceful=True)
+            gang.reap(graceful=gang.healthy())
 
     def close(self) -> None:
         """Shut the gang down *and* retire the supervisor: any later
@@ -648,92 +322,29 @@ class GangSupervisor(Backend):
     # ----------------------------------------------------------- gang build
     def _ensure_gang(self, nprocs: int, op_index: int) -> _Gang:
         gang = self._gang
-        if gang is not None and gang.nprocs != nprocs:
-            # One warm gang at a time; a different width rebuilds cold.
-            gang.reap(self.join_grace, graceful=True)
-            gang = self._gang = None
-        if gang is not None and gang.healthy():
+        if gang is not None and gang.nprocs == nprocs and gang.healthy():
             return gang
         if gang is not None:
-            # Died between ops (e.g. a program error last op).
-            gang.reap(self.join_grace, graceful=False)
+            # One warm gang at a time: a different width rebuilds cold,
+            # and a gang that died between ops (e.g. a program error last
+            # op) is replaced.
             self._gang = None
+            gang.reap(graceful=gang.healthy())
         epoch = self._next_epoch
         self._next_epoch += 1
-        if "fork" not in _mp.get_all_start_methods():
-            raise BackendError(
-                "supervised backend requires the 'fork' start method (POSIX)"
-            )
-        mpctx = _mp.get_context("fork")
-        board = _HeartbeatBoard(nprocs)
-        transport = _make_transport(self.transport, mpctx, nprocs, self.codec)
-        ctl = [mpctx.Queue() for _ in range(nprocs)]
-        result_q = mpctx.Queue()
-        procs = [
-            mpctx.Process(
-                target=_worker_main,
-                args=(r, nprocs, epoch, ctl[r], transport, result_q, board,
-                      self.heartbeat_interval,
-                      self._chaos.take(op_index, r, spawn=True)),
-                daemon=True,
-                name=f"repro-mp-rank-{r}-e{epoch}",
-            )
-            for r in range(nprocs)
-        ]
-        gang = _Gang(epoch, nprocs, mpctx, procs, ctl, transport, result_q, board)
+        gang = _Gang(
+            nprocs, epoch, self.transport, self.codec,
+            spawn_chaos=[self._chaos.take(op_index, r, spawn=True)
+                         for r in range(nprocs)],
+            heartbeat=(self.heartbeat_interval, self.heartbeat_timeout),
+        )
         self._event("gang_start", detail=f"epoch {epoch}, P={nprocs}")
-        try:
-            for p in procs:
-                p.start()
-            self._await_ready(gang)
-        except BaseException:
-            gang.reap(self.join_grace, graceful=False)
-            raise
+        gang.start()
         self._gang = gang
         self.stats.gang_epoch = epoch
         if self._metrics is not None:
             self._metrics.set("supervisor.gang_epoch", epoch)
         return gang
-
-    def _await_ready(self, gang: _Gang) -> None:
-        deadline = monotonic() + self.spawn_timeout
-        pending = set(range(gang.nprocs))
-        reader = getattr(gang.result_q, "_reader", None)
-        while pending:
-            msg = None
-            try:
-                msg = gang.result_q.get_nowait()
-            except _queue_mod.Empty:
-                pass
-            except Exception:
-                msg = None
-            if msg is None:
-                dead = sorted(
-                    r for r in pending if gang.procs[r].exitcode is not None
-                )
-                if dead:
-                    r = dead[0]
-                    raise _OpFailure(
-                        "spawn_failure", r,
-                        f"rank {r} exited with code {gang.procs[r].exitcode} "
-                        f"before reporting ready",
-                    )
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    raise _OpFailure(
-                        "spawn_failure", sorted(pending)[0],
-                        f"gang not ready within {self.spawn_timeout:g}s "
-                        f"(ranks still pending: {sorted(pending)})",
-                    )
-                sentinels = [gang.procs[r].sentinel for r in sorted(pending)]
-                wait_for = ([reader] if reader is not None else []) + sentinels
-                _conn_wait(wait_for, timeout=min(remaining, 0.5))
-                continue
-            if (isinstance(msg, tuple) and len(msg) == 3
-                    and msg[0] == "ready" and msg[2] == gang.epoch):
-                pending.discard(msg[1])
-            else:
-                self.stats.stale_dropped += 1
 
     # -------------------------------------------------------------- run_spmd
     def run_spmd(
@@ -752,32 +363,12 @@ class GangSupervisor(Backend):
         time_budget: float | None = None,
         profile=None,
     ) -> RunResult:
-        if make_rank_args is not None and rank_args is not None:
-            raise ValueError("pass make_rank_args or rank_args, not both")
-        if rank_args is not None and len(rank_args) != nprocs:
-            raise ValueError(
-                f"rank_args has {len(rank_args)} entries for {nprocs} ranks"
-            )
-        if nprocs < 1:
-            raise ValueError(f"need at least one processor, got {nprocs}")
-        self.reject_unsupported(faults=faults)
-        if step_budget is not None or time_budget is not None:
-            raise BackendError(
-                "supervised backend: watchdog budgets count simulated "
-                "steps/seconds; use GangSupervisor(timeout=wall_seconds)"
-            )
-        if metrics is None:
-            from ..obs.registry import current_global_metrics
-
-            metrics = current_global_metrics()
-        spec = spec if spec is not None else CM5
-        if self._closed:
-            raise RuntimeError(
-                "GangSupervisor is closed; ops submitted after close() "
-                "are refused (create a new supervisor)"
-            )
+        spec, metrics = check_run_args(
+            self, nprocs, make_rank_args, rank_args, faults, step_budget,
+            time_budget, spec, metrics,
+        )
         with self._dispatch_lock:
-            # Re-check under the lock: a close() racing this submission
+            # Checked under the lock: a close() racing this submission
             # must not revive the gang.
             if self._closed:
                 raise RuntimeError(
@@ -801,13 +392,13 @@ class GangSupervisor(Backend):
         self.stats.ops += 1
         frozen = {
             "spec": spec,
-            "program": _freeze_callable(program),
-            "make_rank_args": _freeze_callable(make_rank_args),
+            "program": freeze_callable(program),
+            "make_rank_args": freeze_callable(make_rank_args),
             "want_metrics": metrics is not None,
             "want_trace": tracer is not None,
         }
         lifecycle: list[SupervisorEvent] = []
-        last_failure: _OpFailure | None = None
+        last_failure: GangFailure | None = None
         try:
             delays = [None, *self.retry.delays()]
             for attempt, delay in enumerate(delays):
@@ -836,7 +427,7 @@ class GangSupervisor(Backend):
                         rank_args, shared, tracer, metrics, profile,
                         lifecycle,
                     )
-                except _OpFailure as failure:
+                except GangFailure as failure:
                     last_failure = failure
                     self.stats.failures[failure.kind] = (
                         self.stats.failures.get(failure.kind, 0) + 1)
@@ -845,7 +436,7 @@ class GangSupervisor(Backend):
                         detail=failure.detail))
                     gang, self._gang = self._gang, None
                     if gang is not None:
-                        gang.reap(self.join_grace, graceful=False)
+                        gang.reap()
                         self.stats.rebuilds += 1
                         lifecycle.append(self._event(
                             "rebuild", op_id=op_id,
@@ -854,7 +445,7 @@ class GangSupervisor(Backend):
                     if failure.kind == "program_error":
                         # Deterministic program bugs don't heal by retry.
                         raise MpGangError(
-                            failure.rank, "program raised",
+                            failure.rank, failure.detail,
                             child_traceback=failure.child_traceback,
                         ) from None
             # Retry budget exhausted.
@@ -896,21 +487,19 @@ class GangSupervisor(Backend):
         if profile is not None:
             prof_bufs = _ProfileBuffers(nprocs, profile.ring_capacity)
         prof_data = None
-        t_dispatch0 = t_dispatched = t_collected = 0.0
         try:
-            arena_desc = arena.descriptor()
-            prof_desc = prof_bufs.descriptor() if prof_bufs is not None else None
+            # The gang forked before this op existed: ship descriptors
+            # the ranks attach by name.
+            ops = rank_ops({
+                **frozen, "arena": arena.descriptor(),
+                "profile": prof_bufs.descriptor() if prof_bufs is not None else None,
+            }, rank_args, [self._chaos.take(op_index, r, spawn=False)
+                           for r in range(nprocs)])
             t_dispatch0 = monotonic()
             for r in range(nprocs):
-                gang.ctl[r].put(("op", gang.epoch, op_id, {
-                    **frozen,
-                    "rank_args": tuple(rank_args[r]) if rank_args is not None else None,
-                    "arena": arena_desc,
-                    "profile": prof_desc,
-                    "chaos": self._chaos.take(op_index, r, spawn=False),
-                }))
+                gang.ctl[r].put((op_id, ops[r]))
             t_dispatched = monotonic()
-            reports = self._collect_op(gang, op_id)
+            reports = gang.collect(op_id, self.timeout, on_stale=self._stale)
             t_collected = monotonic()
             if prof_bufs is not None:
                 prof_data = prof_bufs.copy_out()
@@ -919,21 +508,11 @@ class GangSupervisor(Backend):
             if prof_bufs is not None:
                 prof_bufs.destroy()
 
-        results = []
-        stats = []
-        for r in range(nprocs):
-            result, snapshot, child_metrics, child_events = reports[r]
-            results.append(result)
-            stats.append(stats_from_snapshot(snapshot))
-            if metrics is not None and child_metrics is not None:
-                metrics.merge(child_metrics)
-            if tracer is not None and child_events:
-                tracer.events.extend(child_events)
-        run = RunResult(results=results, stats=stats, time_domain=self.time_domain)
+        run = assemble_run(reports, tracer, metrics)
         lifecycle.append(self._event(
             "op_ok", op_id=op_id,
             detail=f"attempt {attempt + 1}, epoch {gang.epoch}"))
-        if profile is not None and prof_data is not None:
+        if prof_data is not None:
             prof = _build_mp_profile(
                 nprocs, prof_data, run,
                 t_attempt0, t_dispatch0, t_dispatched, t_collected, monotonic(),
@@ -949,115 +528,8 @@ class GangSupervisor(Backend):
             profile.profile = prof
         return run
 
-    # ---------------------------------------------------------- collect one
-    def _collect_op(self, gang: _Gang, op_id: int) -> dict[int, tuple]:
-        deadline = Deadline(self.timeout)
-        pending = set(range(gang.nprocs))
-        reports: dict[int, tuple] = {}
-        reader = getattr(gang.result_q, "_reader", None)
-        while pending:
-            msg = None
-            got = True
-            try:
-                msg = gang.result_q.get_nowait()
-            except _queue_mod.Empty:
-                got = False
-            except Exception as exc:
-                # A rank killed mid-write can corrupt the stream; treat it
-                # like a poisoned message from an unknown rank.
-                raise _OpFailure(
-                    "poisoned_result", None,
-                    f"result stream corrupted: {exc!r}") from None
-            if not got:
-                now = monotonic()
-                dead = sorted(
-                    r for r in pending if gang.procs[r].exitcode is not None
-                )
-                if dead:
-                    # Grace drain: the rank may have posted before dying.
-                    try:
-                        msg = gang.result_q.get(timeout=0.5)
-                    except (_queue_mod.Empty, Exception):
-                        msg = None
-                    if msg is None:
-                        r = dead[0]
-                        raise _OpFailure(
-                            "rank_death", r,
-                            f"rank {r} exited with code "
-                            f"{gang.procs[r].exitcode} mid-op")
-                else:
-                    ages = gang.board.ages(now)
-                    stale = [
-                        r for r in sorted(pending)
-                        if ages[r] > self.heartbeat_timeout
-                        and gang.procs[r].is_alive()
-                    ]
-                    if stale:
-                        r = stale[0]
-                        raise _OpFailure(
-                            "heartbeat_miss", r,
-                            f"rank {r} heartbeat stale for {ages[r]:.2f}s "
-                            f"(> {self.heartbeat_timeout:g}s): hung or stopped")
-                    if deadline.expired():
-                        raise _OpFailure(
-                            "op_timeout", None,
-                            deadline.describe(f"op {op_id}", pending))
-                    wake = self.heartbeat_interval
-                    if deadline.timeout is not None:
-                        wake = max(deadline.remaining(cap=wake), 0.01)
-                    sentinels = [gang.procs[r].sentinel for r in sorted(pending)]
-                    wait_for = ([reader] if reader is not None else []) + sentinels
-                    _conn_wait(wait_for, timeout=wake)
-                    continue
-            if msg is None:
-                continue
-            kind, rank, report = self._validate_result(gang, op_id, msg)
-            if kind == "stale":
-                self.stats.stale_dropped += 1
-                continue
-            if kind == "error":
-                raise _OpFailure(
-                    "program_error", rank, "program raised",
-                    child_traceback=report)
-            reports[rank] = report
-            pending.discard(rank)
-        return reports
-
-    def _validate_result(self, gang: _Gang, op_id: int, msg):
-        """Classify one result message: ok / error / stale, or fail poisoned."""
-        if not isinstance(msg, tuple) or len(msg) < 3:
-            rank = msg[1] if isinstance(msg, tuple) and len(msg) > 1 \
-                and isinstance(msg[1], int) else None
-            raise _OpFailure(
-                "poisoned_result", rank,
-                f"malformed result message: {msg!r}")
-        kind = msg[0]
-        if kind == "ready":
-            return ("stale", None, None)
-        if kind == "error" and len(msg) == 5:
-            _, rank, epoch, msg_op, tb = msg
-            if epoch != gang.epoch or msg_op != op_id:
-                return ("stale", None, None)
-            return ("error", rank, tb)
-        if kind == "ok" and len(msg) == 5 and isinstance(msg[1], int) \
-                and 0 <= msg[1] < gang.nprocs:
-            _, rank, epoch, msg_op, blob = msg
-            if epoch != gang.epoch or msg_op != op_id:
-                return ("stale", None, None)
-            try:
-                report = pickle.loads(blob)
-            except Exception as exc:
-                raise _OpFailure(
-                    "poisoned_result", rank,
-                    f"undecodable result payload: {exc!r}") from None
-            return ("ok", rank, report)
-        if kind == "ok" and len(msg) == 3 and isinstance(msg[1], int) \
-                and msg[2] != gang.epoch:
-            return ("stale", None, None)
-        rank = msg[1] if len(msg) > 1 and isinstance(msg[1], int) else None
-        raise _OpFailure(
-            "poisoned_result", rank,
-            f"malformed result message: {msg!r}")
+    def _stale(self) -> None:
+        self.stats.stale_dropped += 1
 
 
 # ------------------------------------------------------- default instance
