@@ -538,7 +538,6 @@ def cmd_serve(args) -> int:
         metrics_out=args.metrics_out,
         warm=args.warm,
         timeout=args.timeout,
-        transport=args.transport,
     )
     server = PackUnpackServer(cfg)
 
@@ -745,9 +744,7 @@ def cmd_profile(args) -> int:
     array, mask, grid, block = _workload(args)
     spec = _build_spec(args)
     if args.backend == "mp":
-        backend = MpBackend(timeout=args.timeout,
-                            transport=getattr(args, "transport", None),
-                            codec=getattr(args, "codec", None))
+        backend = MpBackend(timeout=args.timeout)
     else:
         backend = get_backend(args.backend)
     profiler = RuntimeProfiler(ring_capacity=args.ring_capacity)
@@ -804,29 +801,24 @@ def cmd_runtime(args) -> int:
     from .core.api import pack, unpack
     from .machine.m2m import exchange
     from .runtime import (
-        MpBackend, allreduce, barrier, exclusive_prefix_sum, get_backend,
+        GangSupervisor, MpBackend, allreduce, barrier, exclusive_prefix_sum,
+        get_backend,
     )
     from .workloads import make_mask
 
     # Run mp gangs under a wall-clock budget: a transport regression must
     # fail the smoke test, not hang it.
-    transport = getattr(args, "transport", None)
-    codec = getattr(args, "codec", None)
     if args.backend == "mp":
-        backend = MpBackend(timeout=args.timeout, transport=transport,
-                            codec=codec)
+        backend = MpBackend(timeout=args.timeout)
     elif args.backend == "supervised":
-        from .runtime import GangSupervisor
-
-        backend = GangSupervisor(timeout=args.timeout, transport=transport,
-                                 codec=codec)
+        backend = GangSupervisor(timeout=args.timeout)
     else:
         backend = get_backend(args.backend)
     nprocs = args.procs
     if nprocs < 1:
         raise CLIError(f"--procs must be >= 1, got {nprocs}")
     n = 512 if args.quick else args.n
-    via = (f" transport={backend.transport} codec={backend.codec}"
+    via = (f" transport={backend.transport}"
            if args.backend in ("mp", "supervised") else "")
     print(f"runtime smoke: backend={backend.name} "
           f"({backend.time_domain} time),{via} P={nprocs}")
@@ -1101,9 +1093,6 @@ def main(argv=None) -> int:
                               "(supervised backend) before accepting load")
     p_serve.add_argument("--timeout", type=float, default=None,
                          help="per-op watchdog for the supervised backend")
-    p_serve.add_argument("--transport", default=None,
-                         choices=("queue", "ring"),
-                         help="mp/supervised message transport")
 
     p_loadgen = sub.add_parser(
         "loadgen",
@@ -1176,14 +1165,6 @@ def main(argv=None) -> int:
     _add_workload_args(p_profile)
     p_profile.add_argument("--timeout", type=float, default=300.0,
                            help="wall-clock budget per mp gang in seconds")
-    p_profile.add_argument("--transport", default=None,
-                           choices=("queue", "ring"),
-                           help="mp message transport (default: "
-                                "$REPRO_MP_TRANSPORT, then ring)")
-    p_profile.add_argument("--codec", default=None,
-                           choices=("auto", "sss", "cms", "pickle"),
-                           help="ring wire codec mode (default: "
-                                "$REPRO_WIRE_CODEC, then auto)")
     p_profile.add_argument("--ring-capacity", type=int, default=8192,
                            dest="ring_capacity",
                            help="per-rank span ring-buffer capacity (mp)")
@@ -1213,14 +1194,6 @@ def main(argv=None) -> int:
                            help="small workload (n=512) for CI smoke")
     p_runtime.add_argument("--timeout", type=float, default=120.0,
                            help="wall-clock budget per mp gang in seconds")
-    p_runtime.add_argument("--transport", default=None,
-                           choices=("queue", "ring"),
-                           help="mp message transport (default: "
-                                "$REPRO_MP_TRANSPORT, then ring)")
-    p_runtime.add_argument("--codec", default=None,
-                           choices=("auto", "sss", "cms", "pickle"),
-                           help="ring wire codec mode (default: "
-                                "$REPRO_WIRE_CODEC, then auto)")
 
     p_exp = sub.add_parser("experiments", help="regenerate paper artifacts")
     p_exp.add_argument("--metrics-out", dest="metrics_out",

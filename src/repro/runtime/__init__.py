@@ -3,8 +3,10 @@
 One program source, three machines: ``get_backend("sim")`` runs on the
 deterministic cost-model simulator; ``get_backend("mp")`` runs one OS
 process per rank on real cores, with shared-memory input arrays and a
-zero-copy shm ring transport (``transport="queue"`` restores the
-pickled-Queue wire); ``get_backend("supervised")`` runs the same real
+zero-copy shm ring transport (pickled-Queue mailboxes on weakly-ordered
+CPUs, where the ring's lock-free publication is unsafe — the platform
+picks, see :func:`~repro.runtime.base.default_transport`);
+``get_backend("supervised")`` runs the same real
 processes as a *persistent warm gang* under a
 :class:`~repro.runtime.supervisor.GangSupervisor` — heartbeat-monitored,
 rebuilt and retried on rank death/hang under a seeded
@@ -15,13 +17,11 @@ for the contract and ``docs/runtime.md`` for the design.
 
 from .base import (
     BACKEND_NAMES,
-    TRANSPORT_NAMES,
     Backend,
     BackendError,
     Deadline,
     available_backends,
     get_backend,
-    resolve_transport,
 )
 from .mp import MpBackend, MpGangError
 from .primitives import allreduce, barrier, exclusive_prefix_sum
@@ -37,11 +37,9 @@ from .supervisor import (
 
 __all__ = [
     "BACKEND_NAMES",
-    "TRANSPORT_NAMES",
     "Backend",
     "BackendError",
     "Deadline",
-    "resolve_transport",
     "SimBackend",
     "MpBackend",
     "MpGangError",

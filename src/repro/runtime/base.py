@@ -11,7 +11,8 @@ A :class:`Backend` decides *where* those programs execute:
   run is bit-for-bit reproducible.
 * :class:`~repro.runtime.mp.MpBackend` — one OS process per rank over
   ``multiprocessing``, with shared-memory-backed input arrays and
-  shm-ring or queue message transport, forked afresh for every op.
+  a shm-ring message transport (queue mailboxes on weakly-ordered
+  CPUs, see :func:`default_transport`), forked afresh for every op.
   Times are **wall** seconds measured on the host's cores.
 * :class:`~repro.runtime.supervisor.GangSupervisor` — the same rank
   processes kept as a warm gang across ops, with heartbeat supervision,
@@ -39,10 +40,8 @@ own process — the host never pickles ``P`` blocks through a pipe.
 
 from __future__ import annotations
 
-import os
 import platform
 import time
-import warnings
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -53,28 +52,20 @@ __all__ = [
     "BackendError",
     "BACKEND_NAMES",
     "Deadline",
-    "TRANSPORT_NAMES",
     "get_backend",
     "available_backends",
     "default_transport",
-    "resolve_transport",
 ]
 
 #: Registered backend names, in preference order.
 BACKEND_NAMES = ("sim", "mp", "supervised")
-
-#: Message transports accepted by the process-per-rank backends.
-#: ``ring`` is the zero-copy shared-memory ring matrix
-#: (:mod:`repro.runtime.shm_ring`); ``queue`` is the original pickled
-#: ``multiprocessing.Queue`` mailbox per rank.
-TRANSPORT_NAMES = ("queue", "ring")
 
 #: Architectures with a total-store-order memory model, where the ring
 #: transport's plain-store head publication (payload bytes first, then
 #: the int64 sequence counter) is safe without explicit barriers.  On
 #: weakly-ordered CPUs (aarch64, ppc64le, riscv64) store-store
 #: reordering could let a consumer observe the advanced head before the
-#: payload is visible, so the default transport there is ``queue``.
+#: payload is visible, so the transport there is ``queue``.
 _TSO_MACHINES = frozenset(
     {"x86_64", "amd64", "i386", "i486", "i586", "i686", "x86"}
 )
@@ -85,35 +76,15 @@ def _ring_memory_model_safe() -> bool:
 
 
 def default_transport() -> str:
-    """The platform default: ``ring`` on x86 (TSO), ``queue`` elsewhere."""
-    return "ring" if _ring_memory_model_safe() else "queue"
+    """The message transport of the process-per-rank backends.
 
-
-def resolve_transport(transport: str | None) -> str:
-    """Resolve a transport name.
-
-    Explicit arg > ``REPRO_MP_TRANSPORT`` > :func:`default_transport`
-    (``ring`` on x86, ``queue`` on weakly-ordered architectures — see
-    :data:`_TSO_MACHINES`).  Forcing ``ring`` on a non-TSO machine is
-    allowed for experiments but warns: the ring's lock-free publication
-    relies on total store order.
+    ``ring`` (the zero-copy shared-memory ring matrix,
+    :mod:`repro.runtime.shm_ring`) on x86 (TSO); ``queue`` (pickled
+    ``multiprocessing.Queue`` mailboxes) on weakly-ordered CPUs, where
+    the ring's publication order does not hold.  The platform is the
+    only input.
     """
-    if transport is None:
-        transport = os.environ.get("REPRO_MP_TRANSPORT", default_transport())
-    if transport not in TRANSPORT_NAMES:
-        raise ValueError(
-            f"unknown transport {transport!r}; pick from {TRANSPORT_NAMES}"
-        )
-    if transport == "ring" and not _ring_memory_model_safe():
-        warnings.warn(
-            f"the ring transport's lock-free head publication assumes a "
-            f"total-store-order memory model; {platform.machine()} is "
-            f"weakly-ordered and records may be observed before their "
-            f"payload bytes — use transport='queue' for correctness",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return transport
+    return "ring" if _ring_memory_model_safe() else "queue"
 
 
 class Deadline:

@@ -341,7 +341,7 @@ class _Gang:
     builds the plumbing; :meth:`start` forks.
     """
 
-    def __init__(self, nprocs: int, epoch: int, transport: str, codec: str, *,
+    def __init__(self, nprocs: int, epoch: int, transport: str, *,
                  spawn_chaos: Sequence[tuple[ChaosEvent, ...]],
                  ops: Sequence[Mapping[str, Any]] | None = None,
                  heartbeat: tuple[float, float] | None = None):
@@ -349,7 +349,7 @@ class _Gang:
         self.nprocs = nprocs
         self.epoch = epoch
         self.heartbeat = heartbeat
-        self.transport = _make_transport(transport, mpctx, nprocs, codec)
+        self.transport = _make_transport(transport, mpctx, nprocs)
         self.result_q = mpctx.Queue()
         warm = ops is None
         self.ctl = [mpctx.Queue() for _ in range(nprocs)] if warm else []

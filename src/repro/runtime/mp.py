@@ -4,10 +4,11 @@
 but on real cores: one forked OS process per rank, global input arrays in
 POSIX shared memory (each rank slices out only its own block —
 :meth:`~repro.hpf.grid.GridLayout.local_block` — so no block is ever
-pickled through a pipe), and message passing over one of two pluggable
-transports:
+pickled through a pipe), and message passing over one of two
+transports, picked by the platform
+(:func:`~repro.runtime.base.default_transport`):
 
-``ring`` (default)
+``ring`` (x86)
     zero-copy shared-memory SPSC ring buffers
     (:mod:`repro.runtime.shm_ring`): a send frames the payload with the
     wire codec (:mod:`repro.codecs`) — raw bytes for numpy arrays, the
@@ -16,11 +17,12 @@ transports:
     and memcpys it straight into a ring slot (or streams it through the
     pair's slab ring when large) that the receiver already has mapped.
     No pickle for array traffic, no pipe, no feeder thread.
-``queue``
+``queue`` (weakly-ordered CPUs)
     the original per-rank ``multiprocessing.Queue`` mailboxes (pickled
-    payloads over pipes), kept for A/B measurement and as a portability
-    fallback — ``MpBackend(transport="queue")``, the CLI's
-    ``--transport``, or ``REPRO_MP_TRANSPORT=queue``.
+    payloads over pipes): the only correct wire where the ring's
+    lock-free publication order does not hold.  Tests reach it on x86 by
+    faking the platform (patching
+    ``repro.runtime.base._ring_memory_model_safe``).
 
 How the same programs run on both transports
 --------------------------------------------
@@ -96,14 +98,14 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..codecs.wire import decode_payload, encode_payload, resolve_codec
+from ..codecs.wire import decode_payload, encode_payload
 from ..faults.chaos import ChaosEvent, fire_chaos
 from ..machine.context import payload_words
 from ..machine.errors import CollectiveMismatchError, MessageError, ProgramError
 from ..machine.ops import ANY, CollectiveOp, Message, Recv
 from ..machine.spec import MachineSpec
 from ..machine.stats import ProcStats, RunResult
-from .base import Backend, BackendError, resolve_transport
+from .base import Backend, BackendError, default_transport
 from .shm_ring import RingMatrix
 
 __all__ = ["MpBackend", "MpGangError", "register_for_cleanup"]
@@ -526,10 +528,10 @@ class _QueueTransport:
     """The original mailbox transport: one ``multiprocessing.Queue`` per
     rank, pickled payloads over pipes.
 
-    Kept as the A/B baseline and the portability fallback.  Its hot-path
-    behaviour (eager pickled puts, ``_Pickled`` pre-serialization when
-    profiled, blocking gets with stale-stamp drops) is byte-for-byte the
-    PR 5/6 wire.
+    The transport on weakly-ordered CPUs, where the ring is unsafe.  Its
+    hot-path behaviour (eager pickled puts, ``_Pickled`` pre-serialization
+    when profiled, blocking gets with stale-stamp drops) is the original
+    pickled wire.
     """
 
     kind = "queue"
@@ -635,9 +637,8 @@ class _RingTransport:
 
     kind = "ring"
 
-    def __init__(self, matrix: RingMatrix, codec: str):
+    def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
-        self.codec = codec
         self._ep = None
 
     def child_init(self, rank: int) -> "_RingTransport":
@@ -679,7 +680,7 @@ class _RingTransport:
             # mutate-after-send safety on every transport — carrying
             # the same bytes a remote send would put on the wire.
             t0 = monotonic() if rec is not None else 0.0
-            wire, parts, nbytes = encode_payload(payload, self.codec)
+            wire, parts, nbytes = encode_payload(payload)
             buf = bytearray(nbytes)
             off = 0
             for part in parts:
@@ -696,13 +697,13 @@ class _RingTransport:
         epoch, op_id = driver._stamp
         progress = lambda: self._progress(driver)  # noqa: E731
         if rec is None:
-            wire, parts, nbytes = encode_payload(payload, self.codec)
+            wire, parts, nbytes = encode_payload(payload)
             self._ep.send(dest, epoch=epoch, op_id=op_id, tag=tag, kind=0,
                           wire=wire, words=words, clock=clock,
                           parts=parts, nbytes=nbytes, progress=progress)
             return
         t0 = monotonic()
-        wire, parts, nbytes = encode_payload(payload, self.codec)
+        wire, parts, nbytes = encode_payload(payload)
         t1 = monotonic()
         rec.span(_PK_ENC, t0, t1)
         rec.sent(dest, nbytes)
@@ -714,7 +715,7 @@ class _RingTransport:
     def post_protocol(self, driver: "_Driver", dest: int, tag: int,
                       payload: Any) -> None:
         epoch, op_id = driver._stamp
-        wire, parts, nbytes = encode_payload(payload, self.codec)
+        wire, parts, nbytes = encode_payload(payload)
         self._ep.send(dest, epoch=epoch, op_id=op_id, tag=tag, kind=0,
                       wire=wire, words=0, clock=0.0,
                       parts=parts, nbytes=nbytes,
@@ -759,12 +760,12 @@ class _RingTransport:
         self.matrix.destroy()
 
 
-def _make_transport(name: str, mpctx, nprocs: int, codec: str):
+def _make_transport(name: str, mpctx, nprocs: int):
     """Host-side transport factory (pre-fork; registered for cleanup)."""
     if name == "ring":
         matrix = RingMatrix(nprocs)
         register_for_cleanup(matrix)
-        return _RingTransport(matrix, codec)
+        return _RingTransport(matrix)
     return _QueueTransport(mpctx, nprocs)
 
 
@@ -1306,29 +1307,28 @@ class MpBackend(Backend):
         :class:`MpGangError` through the normal failure-hygiene paths.
         Recovery belongs to
         :class:`~repro.runtime.supervisor.GangSupervisor`.
-    transport:
-        ``"ring"`` (default: zero-copy shared-memory ring buffers) or
-        ``"queue"`` (pickled ``multiprocessing.Queue`` mailboxes).
-        ``None`` resolves ``REPRO_MP_TRANSPORT`` then the default — see
-        :func:`~repro.runtime.base.resolve_transport`.
-    codec:
-        wire codec mode for the ring transport: ``"auto"`` (default,
-        per-message CMS-vs-SSS choice), ``"cms"``, ``"sss"``, or
-        ``"pickle"``.  ``None`` resolves ``REPRO_WIRE_CODEC`` then auto.
+
+    :attr:`transport` records the wire the platform picked
+    (:func:`~repro.runtime.base.default_transport`) when the backend was
+    built; it is read-only.  The ring's wire codec picks SSS or CMS per
+    message (:func:`~repro.codecs.wire.encode_payload`).
     """
 
     name = "mp"
     time_domain = "wall"
     supports_faults = False
 
-    def __init__(self, timeout: float | None = None, chaos=None,
-                 transport: str | None = None, codec: str | None = None):
+    def __init__(self, timeout: float | None = None, chaos=None):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
         self.chaos = chaos
-        self.transport = resolve_transport(transport)
-        self.codec = resolve_codec(codec)
+        self._transport = default_transport()
+
+    @property
+    def transport(self) -> str:
+        """``"ring"`` or ``"queue"``: the wire this backend's gangs use."""
+        return self._transport
 
     def run_spmd(
         self,
@@ -1366,7 +1366,7 @@ class MpBackend(Backend):
         try:
             # Every rank inherits its op at fork: the callables as they
             # are, the arena and profile rings already mapped.
-            gang = _Gang(nprocs, 0, self.transport, self.codec, spawn_chaos=chaos,
+            gang = _Gang(nprocs, 0, self._transport, spawn_chaos=chaos,
                          ops=rank_ops({
                              "spec": spec, "program": program,
                              "make_rank_args": make_rank_args,
@@ -1415,7 +1415,7 @@ def _build_mp_profile(
     t_spawned: float,
     t_collected: float,
     t_end: float,
-    transport: str = "queue",
+    transport: str,
 ):
     """Merge the per-rank shm rows into a wall-aligned ``RunProfile``.
 

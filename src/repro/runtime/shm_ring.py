@@ -28,9 +28,9 @@ so no locks are needed.  The payload-before-head *ordering*, however,
 holds only under a total-store-order memory model (x86/x86-64): plain
 stores carry no release barrier, so a weakly-ordered CPU (aarch64,
 ppc64le) may let the consumer observe the advanced head before the
-payload bytes are visible.  :func:`repro.runtime.base.resolve_transport`
-therefore defaults to the queue transport off x86 and warns when the
-ring is forced there.  Waits spin briefly, then ``sched_yield``, then
+payload bytes are visible.  :func:`repro.runtime.base.default_transport`
+therefore picks the queue transport off x86; the ring is never used
+there.  Waits spin briefly, then ``sched_yield``, then
 block on a per-receiver **doorbell** (``os.eventfd``, falling back to a
 pipe): the receiver sets its waiting flag, re-checks the rings, and
 blocks in ``select`` with a bounded timeout; a producer that observes
@@ -114,39 +114,32 @@ _DOORBELL_SLICE = 0.05  # select timeout; bounds the lost-wakeup race
 class RingConfig:
     """Geometry of one gang's ring matrix.
 
-    Defaults keep a P=8 gang under 8 MiB of /dev/shm while letting a
-    whole conformance-sized message ride inline.  Env overrides
-    (``REPRO_RING_SLOTS``, ``REPRO_RING_SLOT_BYTES``,
-    ``REPRO_RING_SLAB_BYTES``) exist for the backpressure/spill tests
-    and for tuning on bigger machines.
+    The defaults keep a P=8 gang under 8 MiB of /dev/shm while letting a
+    whole conformance-sized message ride inline.  Every gang uses
+    :data:`_DEFAULT_CONFIG`; the unit tests build tiny rings directly.
     """
 
     nslots: int = 64
     slot_bytes: int = 2048
     slab_bytes: int = 1 << 16
 
-    @classmethod
-    def from_env(cls, **overrides) -> "RingConfig":
-        def _pick(key: str, env: str, default: int) -> int:
-            if key in overrides and overrides[key] is not None:
-                return int(overrides[key])
-            return int(os.environ.get(env, default))
-
-        cfg = cls(
-            nslots=_pick("nslots", "REPRO_RING_SLOTS", cls.nslots),
-            slot_bytes=_pick("slot_bytes", "REPRO_RING_SLOT_BYTES", cls.slot_bytes),
-            slab_bytes=_pick("slab_bytes", "REPRO_RING_SLAB_BYTES", cls.slab_bytes),
-        )
-        if cfg.nslots < 2 or cfg.slot_bytes < RECORD.size + 8:
-            raise ValueError(f"ring config too small: {cfg}")
-        if cfg.slab_bytes < 64:
-            raise ValueError(f"slab ring too small: {cfg}")
-        return cfg
+    def __post_init__(self) -> None:
+        if self.nslots < 2 or self.slot_bytes < RECORD.size + 8:
+            raise ValueError(f"ring config too small: {self}")
+        if self.slab_bytes < 64:
+            raise ValueError(f"slab ring too small: {self}")
 
     @property
     def inline_max(self) -> int:
         """Largest payload that fits inline in one slot."""
         return self.slot_bytes - RECORD.size
+
+
+#: The geometry every gang's matrix is built with.  A fixed constant,
+#: not a setting; the wraparound and slab-spill tests patch it to a tiny
+#: ring before a gang is built (the matrix is created in the host,
+#: before the fork).
+_DEFAULT_CONFIG = RingConfig()
 
 
 @dataclass(frozen=True)
@@ -239,7 +232,7 @@ class RingMatrix:
     def __init__(self, nprocs: int, config: RingConfig | None = None, *,
                  create: bool = True, name: str | None = None) -> None:
         self.nprocs = int(nprocs)
-        self.config = config or RingConfig.from_env()
+        self.config = config or _DEFAULT_CONFIG
         p, cfg = self.nprocs, self.config
         self._off_flags = 0
         self._off_hdr = p * 8

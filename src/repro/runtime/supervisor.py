@@ -59,10 +59,9 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Callable, Mapping, Sequence
 
-from ..codecs.wire import resolve_codec
 from ..faults.chaos import ChaosEvent, ChaosPlan
 from ..machine.stats import RunResult
-from .base import Backend, resolve_transport
+from .base import Backend, default_transport
 from .gang import (
     GangFailure,
     _Gang,
@@ -216,10 +215,10 @@ class GangSupervisor(Backend):
     chaos:
         optional :class:`~repro.faults.chaos.ChaosPlan`; events are
         delivered at most ``times`` attempts each (see module docstring).
-    transport / codec:
-        message transport (``"ring"`` / ``"queue"``) and wire codec mode,
-        resolved exactly as in :class:`~repro.runtime.mp.MpBackend` —
-        each gang epoch gets its own ring matrix, torn down on reap.
+
+    :attr:`transport` records the wire the platform picked, exactly as on
+    :class:`~repro.runtime.mp.MpBackend`; it is read-only.  Each gang
+    epoch gets its own ring matrix, torn down on reap.
 
     A supervisor instance is a context manager; :meth:`shutdown` reaps
     the gang.  The process-wide instance behind ``backend="supervised"``
@@ -238,8 +237,6 @@ class GangSupervisor(Backend):
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float = 15.0,
         chaos: ChaosPlan | None = None,
-        transport: str | None = None,
-        codec: str | None = None,
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -257,8 +254,7 @@ class GangSupervisor(Backend):
         self.on_exhaustion = on_exhaustion
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.transport = resolve_transport(transport)
-        self.codec = resolve_codec(codec)
+        self._transport = default_transport()
         self.stats = SupervisorStats()
         self._chaos = _ChaosState(chaos)
         self._gang: _Gang | None = None
@@ -300,6 +296,11 @@ class GangSupervisor(Backend):
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def transport(self) -> str:
+        """``"ring"`` or ``"queue"``: the wire this supervisor's gangs use."""
+        return self._transport
+
     def warm(self, nprocs: int) -> None:
         """Pre-fork the gang so the first op dispatches warm."""
         if self._closed:
@@ -333,7 +334,7 @@ class GangSupervisor(Backend):
         epoch = self._next_epoch
         self._next_epoch += 1
         gang = _Gang(
-            nprocs, epoch, self.transport, self.codec,
+            nprocs, epoch, self._transport,
             spawn_chaos=[self._chaos.take(op_index, r, spawn=True)
                          for r in range(nprocs)],
             heartbeat=(self.heartbeat_interval, self.heartbeat_timeout),

@@ -42,7 +42,6 @@ class ExecutionEngine:
         plan_cache: PlanCache | None = None,
         plan_cache_capacity: int = 128,
         timeout: float | None = None,
-        transport: str | None = None,
     ):
         self.backend_name = backend if isinstance(backend, str) else "custom"
         self._owns_backend = False
@@ -52,7 +51,7 @@ class ExecutionEngine:
             # other code in the process might still be using.
             from ..runtime.supervisor import GangSupervisor
 
-            self.backend = GangSupervisor(timeout=timeout, transport=transport)
+            self.backend = GangSupervisor(timeout=timeout)
             self._owns_backend = True
         else:
             self.backend = get_backend(backend)

@@ -55,7 +55,6 @@ class ServeConfig:
     metrics_out: str | None = None
     warm: int | None = None  # pre-fork a gang of this size (supervised)
     timeout: float | None = None  # supervisor per-op watchdog
-    transport: str | None = None  # mp/supervised message transport
 
 
 class PackUnpackServer:
@@ -70,7 +69,6 @@ class PackUnpackServer:
             backend=cfg.backend,
             plan_cache_capacity=cfg.plan_cache_capacity,
             timeout=cfg.timeout,
-            transport=cfg.transport,
         )
         self.admission = AdmissionController(
             max_queue=cfg.max_queue,

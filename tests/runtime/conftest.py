@@ -77,3 +77,38 @@ def no_leaks():
     settle()
     assert live_gang() == []
     assert_no_leaks(before)
+
+
+def fake_platform(monkeypatch, transport):
+    """Make the mp backends built from here on run over ``transport``.
+
+    The platform's TSO check (``base._ring_memory_model_safe``) is the
+    only thing that picks ring or queue, and backends read it in the
+    host before forking, so faking it reaches the queue on x86 (and the
+    ring on a weakly-ordered host).
+    """
+    monkeypatch.setattr("repro.runtime.base._ring_memory_model_safe",
+                        lambda: transport == "ring")
+
+
+@pytest.fixture(params=["queue", "ring"])
+def transport(request, monkeypatch):
+    """Run the test once over each mp transport; yields its name."""
+    fake_platform(monkeypatch, request.param)
+    return request.param
+
+
+@pytest.fixture
+def ring(monkeypatch):
+    """Run the test over the ring transport, whatever the host."""
+    fake_platform(monkeypatch, "ring")
+
+
+@pytest.fixture
+def tiny_rings(monkeypatch):
+    """Build every gang's ring matrix tiny (4 x 128 B slots, 256 B slab),
+    forcing wraparound and slab spill on ordinary traffic."""
+    from repro.runtime import shm_ring
+
+    monkeypatch.setattr(shm_ring, "_DEFAULT_CONFIG", shm_ring.RingConfig(
+        nslots=4, slot_bytes=128, slab_bytes=256))

@@ -17,8 +17,8 @@ from repro.runtime import (
     Deadline,
     GangSupervisor,
     MpBackend,
-    resolve_transport,
 )
+from repro.runtime.base import default_transport
 from repro.runtime.gang import GangFailure, _Gang
 
 SPEC = MachineSpec(tau=10e-6, mu=1e-6, delta=0.1e-6, name="test")
@@ -72,8 +72,8 @@ class TestValidate:
 
     @pytest.fixture
     def gang(self):
-        g = _Gang(2, 3, resolve_transport(None), "auto",
-                  spawn_chaos=[(), ()], ops=[{}, {}])
+        g = _Gang(2, 3, default_transport(), spawn_chaos=[(), ()],
+                  ops=[{}, {}])
         yield g
         g.reap()
 

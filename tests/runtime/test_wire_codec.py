@@ -1,8 +1,7 @@
-"""Wire codec: exact roundtrips, forced modes, and the CMS byte crossover.
+"""Wire codec: exact roundtrips and the CMS byte crossover.
 
 Every payload kind the transport ships must decode bit-identically from
-its wire bytes, and the ``auto`` mode must pick CMS exactly when the
-paper's ``E + 2*Gs < 2*E`` condition holds at the byte level
+its wire bytes, and the encoder must pick CMS exactly when the paper's ``E + 2*Gs < 2*E`` condition holds at the byte level
 (``count*itemsize + 16*segments < count*(8+itemsize)``).
 """
 
@@ -10,11 +9,9 @@ import numpy as np
 import pytest
 
 from repro.codecs import (
-    CODEC_MODES,
     decode_payload,
     encode_payload,
     pair_runs,
-    resolve_codec,
     wire_bytes_pair_cms,
     wire_bytes_pair_sss,
 )
@@ -22,8 +19,8 @@ from repro.codecs.wire import W_ND, W_NONE, W_PAIR_CMS, W_PAIR_SSS, W_PICKLE, W_
 from repro.core.messages import PairMessage, SegmentMessage
 
 
-def roundtrip(obj, codec="auto"):
-    kind, parts, nbytes = encode_payload(obj, codec)
+def roundtrip(obj):
+    kind, parts, nbytes = encode_payload(obj)
     buf = b"".join(bytes(p) for p in parts)
     assert len(buf) == nbytes
     return kind, decode_payload(kind, buf)
@@ -108,22 +105,19 @@ class TestPairEncoding:
         assert kind == W_PAIR_SSS  # 100 singleton runs: pairs are smaller
         np.testing.assert_array_equal(back.ranks, pm.ranks)
 
-    def test_forced_modes(self):
-        scattered = PairMessage(ranks=np.arange(0, 200, 2, dtype=np.int64),
-                                values=np.ones(100))
-        dense = PairMessage(ranks=np.arange(100, dtype=np.int64),
-                            values=np.ones(100))
-        assert roundtrip(scattered, "cms")[0] == W_PAIR_CMS
-        assert roundtrip(dense, "sss")[0] == W_PAIR_SSS
-        assert roundtrip(dense, "pickle")[0] == W_PICKLE
-
-    def test_forced_modes_still_roundtrip(self):
-        pm = PairMessage(ranks=np.array([2, 3, 4, 9, 20, 21], dtype=np.int64),
-                         values=np.arange(6.0))
-        for codec in CODEC_MODES:
-            _, back = roundtrip(pm, codec)
+    def test_mixed_runs_roundtrip_on_either_side(self):
+        # Mean run 2 (ties go SSS) and mean run 3 (CMS): both decode to
+        # the exact original ranks, dtype included.
+        short = PairMessage(ranks=np.array([2, 3, 4, 9, 20, 21], dtype=np.int64),
+                            values=np.arange(6.0))
+        long = PairMessage(ranks=np.array([2, 3, 4, 9, 10, 11], dtype=np.int64),
+                           values=np.arange(6.0))
+        for pm, expected in ((short, W_PAIR_SSS), (long, W_PAIR_CMS)):
+            kind, back = roundtrip(pm)
+            assert kind == expected
             np.testing.assert_array_equal(back.ranks, pm.ranks)
             np.testing.assert_array_equal(back.values, pm.values)
+            assert back.ranks.dtype == pm.ranks.dtype
 
     def test_crossover_at_mean_run_length_two(self):
         # CMS wins iff 16*segments < 8*count, i.e. mean run length > 2 —
@@ -140,21 +134,3 @@ class TestPairEncoding:
     def test_pair_runs_empty(self):
         bases, counts = pair_runs(np.empty(0, dtype=np.int64))
         assert bases.size == 0 and counts.size == 0
-
-
-class TestResolveCodec:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "sss")
-        assert resolve_codec("cms") == "cms"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "pickle")
-        assert resolve_codec(None) == "pickle"
-
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WIRE_CODEC", raising=False)
-        assert resolve_codec(None) == "auto"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire codec"):
-            resolve_codec("zstd")
