@@ -240,70 +240,121 @@ def _make_config(
     )
 
 
-@dataclass
-class _PlanState:
-    """Per-call plan-cache bookkeeping shared by pack/unpack/ranking.
+def _run_op(
+    op: str,
+    program,
+    layout: GridLayout,
+    config: PackConfig,
+    mask: np.ndarray,
+    shared: dict,
+    rank_args,
+    collect,
+    *,
+    spec: MachineSpec,
+    backend,
+    plan_cache,
+    plan_op: str | None = None,
+    n_result: int | None = None,
+    mask_on_hit: bool = False,
+    faults=None,
+    profiler: PhaseProfiler | None = None,
+    profile=None,
+    tracer=None,
+    metrics=None,
+    step_budget: int | None = None,
+    time_budget: float | None = None,
+):
+    """The one host call path behind pack / unpack / ranking / pack_many.
 
-    ``status`` is ``None`` when no cache was requested, ``"off"`` when one
-    was requested but the call is ineligible (fault injection, reliable
+    Resolves the observers and the backend, probes the plan cache under
+    ``plan_op`` (default ``op``), and runs ``program`` on every rank with
+    ``rank_args(r, shared, mask_block) + (rank plan, capture)``.  On a plan
+    hit the mask stays on the host (the plan encodes it) unless
+    ``mask_on_hit``.  ``collect``
+    gathers and validates the run; its return value is passed through,
+    and only then is a freshly captured plan stored.  Returns
+    ``(collected, the _TimedResult fields of the call)``.
+
+    ``plan_info`` is ``None`` when no cache was requested, ``"off"`` when
+    one was but the call is ineligible (fault injection, reliable
     transport — their charges are not a pure function of the key), else
     ``"hit"`` / ``"miss"``.
     """
+    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
+    exec_backend = get_backend(backend)
+    exec_backend.reject_unsupported(faults=faults, reliability=config.reliability)
 
-    cache: object = None
-    key: object = None
-    plan: Plan | None = None
-    capture: bool = False
-    status: str | None = None
-
-
-def _plan_setup(
-    plan_cache, bypass: bool, op: str, layout, config, mask,
-    n_result, spec_name: str, time_domain: str,
-) -> _PlanState:
-    """Resolve the cache and probe it for this call's key."""
     cache = resolve_plan_cache(plan_cache)
-    if cache is None:
-        return _PlanState()
-    if bypass:
-        return _PlanState(status="off")
-    key = plan_key(
-        op, layout, config, mask,
-        n_result=n_result, spec=spec_name, time_domain=time_domain,
-    )
-    plan = cache.get(key)
-    return _PlanState(
-        cache=cache, key=key, plan=plan,
-        capture=plan is None, status="hit" if plan is not None else "miss",
-    )
-
-
-def _plan_finish(state: _PlanState, run, nprocs: int, metrics, rank_plan_of):
-    """Store a freshly captured plan and build the call's plan-info dict."""
-    if state.status is None:
-        return None
-    if state.status == "off":
-        return {"cache": "off", "compile_ms": None}
-    if state.capture:
-        plan = Plan(
-            key=state.key,
-            ranks=[rank_plan_of(run.results[r]) for r in range(nprocs)],
+    status = key = plan = None
+    if cache is not None and (faults is not None or config.reliability is not None):
+        status = "off"
+    elif cache is not None:
+        key = plan_key(
+            plan_op or op, layout, config, mask,
+            n_result=n_result, spec=spec.name,
+            time_domain=exec_backend.time_domain,
         )
-        state.cache.put(state.key, plan)
-        compile_ms = plan.compile_wall * 1e3
-    else:
-        plan = state.plan
-        compile_ms = 0.0  # the prefix was replayed, not computed
-    info = {
-        "cache": state.status,
-        "compile_ms": compile_ms,
-        "fingerprint": state.key.fingerprint,
-        "plan_bytes": plan.nbytes,
-    }
-    if metrics is not None:
-        metrics.inc(f"plan_cache.{state.status}")
-        metrics.observe("plan.compile_ms", compile_ms)
-    return info
+        plan = cache.get(key)
+        status = "hit" if plan is not None else "miss"
+    # Plain locals only: the rank-args closure is shipped to
+    # supervised-gang workers, and must not drag the PlanCache (and its
+    # lock) into its cells.
+    rank_plans = plan.ranks if plan is not None else None
+    capture = status == "miss"
+    ship_mask = rank_plans is None or mask_on_hit
+    if ship_mask:
+        shared = dict(shared, mask=mask)
+
+    def _rank_args(r, sh):
+        mask_block = layout.local_block(sh["mask"], r, copy=False) if ship_mask else None
+        plan_r = rank_plans[r] if rank_plans is not None else None
+        return rank_args(r, sh, mask_block) + (plan_r, capture)
+
+    run = exec_backend.run_spmd(
+        program,
+        layout.nprocs,
+        make_rank_args=_rank_args,
+        shared=shared,
+        spec=spec,
+        tracer=tracer,
+        metrics=metrics,
+        faults=faults,
+        step_budget=step_budget,
+        time_budget=time_budget,
+        profile=profile,
+    )
+    collected = collect(run)
+
+    plan_info = None
+    if status == "off":
+        plan_info = {"cache": "off", "compile_ms": None}
+    elif status is not None:
+        if capture:
+            plan = Plan(
+                key=key,
+                ranks=[run.results[r].rank_plan for r in range(layout.nprocs)],
+            )
+            cache.put(key, plan)
+            compile_ms = plan.compile_wall * 1e3
+        else:
+            compile_ms = 0.0  # the prefix was replayed, not computed
+        plan_info = {
+            "cache": status,
+            "compile_ms": compile_ms,
+            "fingerprint": key.fingerprint,
+            "plan_bytes": plan.nbytes,
+        }
+        if metrics is not None:
+            metrics.inc(f"plan_cache.{status}")
+            metrics.observe("plan.compile_ms", compile_ms)
+    if profiler is not None:
+        profiler.finish(run, op=op, spec=spec.name, plan=plan_info)
+    if profile is not None and profile.profile is not None:
+        profile.finish(op=op, spec=spec.name)
+    return collected, dict(
+        run=run, tracer=tracer, metrics=metrics,
+        _op=op, _spec_name=spec.name, plan_info=plan_info,
+    )
 
 
 def pack(
@@ -431,9 +482,6 @@ def pack(
         scheme, prs, m2m_schedule, result_block, early_exit_scan,
         reliability=reliability,
     )
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults, reliability=reliability)
 
     n_result = None
     pad_layout = None
@@ -452,116 +500,71 @@ def pack(
         n_result = int(vector.size)
         pad_layout = result_vector_layout(n_result, layout.nprocs, config)
 
-    if redistribute is None:
-        program = pack_program
-    elif redistribute == "selected":
-        program = pack_red1_program
-    elif redistribute == "whole":
-        program = pack_red2_program
-    else:
+    programs = {None: (pack_program, "pack"),
+                "selected": (pack_red1_program, "pack_red1"),
+                "whole": (pack_red2_program, "pack_red2")}
+    if redistribute not in programs:
         raise ValueError(
             f"redistribute must be None, 'selected' or 'whole', got {redistribute!r}"
         )
-
-    plan_op = {None: "pack", "selected": "pack_red1",
-               "whole": "pack_red2"}[redistribute]
-    plan_state = _plan_setup(
-        plan_cache,
-        bypass=(faults is not None or bool(reliability)),
-        op=plan_op, layout=layout, config=config, mask=mask,
-        n_result=n_result, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
-    )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    # Plain local, not plan_state.capture: the rank-args closure is
-    # shipped to supervised-gang workers, and _PlanState drags the whole
-    # PlanCache (and its lock) into the closure cells.
-    capture_plan = plan_state.capture
+    program, plan_op = programs[redistribute]
+    # The direct program takes (ranking_result, phase_prefix) before the
+    # plan hooks; the redistribution programs go straight to them.
+    hooks_at = (None, "pack") if redistribute is None else ()
 
     # Each rank extracts only the blocks it owns from the shared global
     # arrays (views in-process; shared-memory slices under "mp") — the
-    # host never materializes a per-rank copy of anything.  On a plan hit
-    # the mask is not shipped at all: the plan already encodes it.  The
-    # exception is Red.2, whose pre-pass redistributes the mask for real
-    # even on a hit (the traffic is part of the measured algorithm).
-    ship_mask = rank_plans is None or redistribute == "whole"
+    # host never materializes a per-rank copy of anything.
     shared = {"array": array}
-    if ship_mask:
-        shared["mask"] = mask
     if vector is not None:
         shared["pad_vector"] = vector
 
-    def _rank_args(r, sh):
+    def _rank_args(r, sh, mask_block):
         pad_block = (
             pad_layout.local_block(sh["pad_vector"], r)
             if pad_layout is not None
             else None
         )
-        base = (
-            layout.local_block(sh["array"], r, copy=False),
-            layout.local_block(sh["mask"], r, copy=False)
-            if ship_mask else None,
+        return (
+            layout.local_block(sh["array"], r, copy=False), mask_block,
             layout, config, pad_block, n_result,
-        )
-        # The direct program takes (ranking_result, phase_prefix) before
-        # the plan hooks; the redistribution programs go straight to them.
-        if rank_plans is not None:
-            tail = (rank_plans[r], False)
-        elif capture_plan:
-            tail = (None, True)
-        else:
-            return base
-        if redistribute is None:
-            return base + (None, "pack") + tail
-        return base + tail
+        ) + hooks_at
 
-    run = exec_backend.run_spmd(
-        program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        faults=faults,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
+    def _collect(run):
+        size = run.results[0].size
+        vec_layout = result_vector_layout(
+            n_result if n_result is not None else size, layout.nprocs, config
+        )
+        out = vec_layout.gather(
+            [run.results[r].vector_block for r in range(layout.nprocs)],
+            dtype=array.dtype,
+        )
+        if validate:
+            expected = pack_reference(original_array, original_mask, vector)
+            if out.shape != expected.shape or not np.array_equal(out, expected):
+                raise AssertionError(
+                    f"parallel PACK mismatch vs serial oracle "
+                    f"(scheme={config.scheme.value}, layout={layout.describe()})"
+                )
+        return out, size
+
+    # Red.2's pre-pass redistributes the mask for real even on a plan hit
+    # (the traffic is part of the measured algorithm).
+    (out, size), common = _run_op(
+        "pack", program, layout, config, mask, shared, _rank_args, _collect,
+        spec=spec, backend=backend, plan_cache=plan_cache, plan_op=plan_op,
+        n_result=n_result, mask_on_hit=redistribute == "whole",
+        faults=faults, profiler=profiler, profile=profile,
+        tracer=tracer, metrics=metrics,
+        step_budget=step_budget, time_budget=time_budget,
     )
-    size = run.results[0].size
-    vec_layout = result_vector_layout(
-        n_result if n_result is not None else size, layout.nprocs, config
-    )
-    vector = vec_layout.gather(
-        [run.results[r].vector_block for r in range(layout.nprocs)],
-        dtype=array.dtype,
-    )
-    if validate:
-        expected = pack_reference(original_array, original_mask, vector)
-        if vector.shape != expected.shape or not np.array_equal(vector, expected):
-            raise AssertionError(
-                f"parallel PACK mismatch vs serial oracle "
-                f"(scheme={config.scheme.value}, layout={layout.describe()})"
-            )
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res.rank_plan
-    )
-    if profiler is not None:
-        profiler.finish(run, op="pack", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="pack", spec=spec.name)
     return PackResult(
-        run=run,
-        vector=vector,
+        vector=out,
         size=size,
         scheme=config.scheme,
         layout=layout,
-        total_words=run.total_words,
-        tracer=tracer,
-        metrics=metrics,
-        _op="pack",
-        _spec_name=spec.name,
-        plan_info=plan_info,
+        total_words=common["run"].total_words,
+        **common,
     )
 
 
@@ -631,89 +634,61 @@ def unpack(
         compress_requests=compress_requests, reliability=reliability,
     )
 
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults, reliability=reliability)
     vec_layout = input_vector_layout(int(vector.size), layout.nprocs, config)
     n_vector = int(vector.size)
-
-    plan_state = _plan_setup(
-        plan_cache,
-        bypass=(faults is not None or bool(reliability)),
-        op="unpack", layout=layout, config=config, mask=mask,
-        n_result=n_vector, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
-    )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    capture_plan = plan_state.capture  # plain local: closure must pickle
 
     # Each rank slices only its own blocks from the shared global arrays
     # (views in-process, shared-memory slices under "mp").  On a plan hit
     # the mask stays on the host: the plan already encodes it.
-    shared = {"vector": vector, "field": field_array}
-    if rank_plans is None:
-        shared["mask"] = mask
-
-    def _rank_args(r, sh):
-        base = (
+    def _rank_args(r, sh, mask_block):
+        return (
             vec_layout.local_block(sh["vector"], r, copy=False),
-            layout.local_block(sh["mask"], r, copy=False)
-            if rank_plans is None else None,
+            mask_block,
             layout.local_block(sh["field"], r, copy=False),
-            layout,
-            n_vector,
-            config,
+            layout, n_vector, config, "unpack",
         )
-        if rank_plans is not None:
-            return base + ("unpack", rank_plans[r], False)
-        if capture_plan:
-            return base + ("unpack", None, True)
-        return base
 
-    run = exec_backend.run_spmd(
-        unpack_program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        faults=faults,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
-    )
-    array = layout.gather([run.results[r].array_block for r in range(layout.nprocs)])
-    if pad:
-        from .padding import crop
+    def _collect(run):
+        array = layout.gather(
+            [run.results[r].array_block for r in range(layout.nprocs)]
+        )
+        if pad:
+            from .padding import crop
 
-        array = crop(array, original_shape)
-    if validate:
-        expected = unpack_reference(vector, original_mask, original_field)
-        if not np.array_equal(array, expected):
-            raise AssertionError(
-                f"parallel UNPACK mismatch vs serial oracle "
-                f"(scheme={config.scheme.value}, layout={layout.describe()})"
-            )
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res.rank_plan
+            array = crop(array, original_shape)
+        if validate:
+            expected = unpack_reference(vector, original_mask, original_field)
+            if not np.array_equal(array, expected):
+                raise AssertionError(
+                    f"parallel UNPACK mismatch vs serial oracle "
+                    f"(scheme={config.scheme.value}, layout={layout.describe()})"
+                )
+        return array
+
+    array, common = _run_op(
+        "unpack", unpack_program, layout, config, mask,
+        {"vector": vector, "field": field_array}, _rank_args, _collect,
+        spec=spec, backend=backend, plan_cache=plan_cache, n_result=n_vector,
+        faults=faults, profiler=profiler, profile=profile,
+        tracer=tracer, metrics=metrics,
+        step_budget=step_budget, time_budget=time_budget,
     )
-    if profiler is not None:
-        profiler.finish(run, op="unpack", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="unpack", spec=spec.name)
     return UnpackResult(
-        run=run,
         array=array,
-        size=run.results[0].size,
+        size=common["run"].results[0].size,
         scheme=config.scheme,
         layout=layout,
-        tracer=tracer,
-        metrics=metrics,
-        _op="unpack",
-        _spec_name=spec.name,
-        plan_info=plan_info,
+        **common,
     )
+
+
+@dataclass
+class _RankingLocal:
+    """Per-rank outcome of :func:`_ranking_host_program`."""
+
+    ranks: np.ndarray
+    size: int
+    rank_plan: RankingRankPlan | None = None
 
 
 def _ranking_host_program(
@@ -721,13 +696,12 @@ def _ranking_host_program(
 ):
     """Per-rank program behind the host-level :func:`ranking`.
 
-    Returns ``(masked element ranks, Size, captured rank plan or None)``.
     The ranking result is *entirely* mask-derived, so a plan execution is
     pure replay: restore the recorded charges, hand back the stored array.
     """
     if plan is not None:
         replay_charges(ctx, plan.charges, "ranking")
-        return (plan.ranks_local, plan.size, None)
+        return _RankingLocal(plan.ranks_local, plan.size)
     recorder = ChargeRecorder(ctx) if capture else None
     t_compile = perf_counter() if capture else 0.0
     result = yield from ranking_program(
@@ -744,7 +718,7 @@ def _ranking_host_program(
             ),
             compile_wall=perf_counter() - t_compile,
         )
-    return (ranks_local, result.size, rank_plan)
+    return _RankingLocal(ranks_local, result.size, rank_plan)
 
 
 def ranking(
@@ -784,73 +758,37 @@ def ranking(
 
         new_shape, block = padded_shape(mask.shape, grid, block)
         mask = pad_mask(mask, new_shape)
-    tracer, metrics = _resolve_observers(profiler, tracer, metrics)
-    exec_backend = get_backend(backend)
-    exec_backend.reject_unsupported(faults=faults)
     layout = GridLayout.create(mask.shape, grid, block)
     config_scheme = Scheme.parse(scheme)
 
-    plan_state = _plan_setup(
-        plan_cache,
-        bypass=(faults is not None),
-        op="ranking", layout=layout,
+    def _rank_args(r, sh, mask_block):
+        return (mask_block, layout, config_scheme, prs)
+
+    def _collect(run):
+        ranks = layout.gather([run.results[r].ranks for r in range(layout.nprocs)])
+        size = run.results[0].size
+        if pad:
+            from .padding import crop
+
+            ranks = crop(ranks, original_shape)
+        if validate:
+            expected = mask_ranks(original_mask)
+            if not np.array_equal(ranks, expected):
+                raise AssertionError("parallel ranking mismatch vs serial oracle")
+            if size != int(np.count_nonzero(original_mask)):
+                raise AssertionError(
+                    f"Size {size} != oracle {np.count_nonzero(original_mask)}")
+        return ranks, size
+
+    (ranks, size), common = _run_op(
+        "ranking", _ranking_host_program, layout,
         # Ranking has no PackConfig; key it under the knobs that exist
         # (scheme, prs) with the remaining fields at their defaults.
-        config=_make_config(scheme, prs, "linear", None, True),
-        mask=mask, n_result=None, spec_name=spec.name,
-        time_domain=exec_backend.time_domain,
+        _make_config(scheme, prs, "linear", None, True),
+        mask, {}, _rank_args, _collect,
+        spec=spec, backend=backend, plan_cache=plan_cache,
+        faults=faults, profiler=profiler, profile=profile,
+        tracer=tracer, metrics=metrics,
+        step_budget=step_budget, time_budget=time_budget,
     )
-    rank_plans = plan_state.plan.ranks if plan_state.plan is not None else None
-    capture_plan = plan_state.capture  # plain local: closure must pickle
-    shared = {} if rank_plans is not None else {"mask": mask}
-
-    def _rank_args(r, sh):
-        block_mask = (
-            layout.local_block(sh["mask"], r, copy=False)
-            if rank_plans is None else None
-        )
-        base = (block_mask, layout, config_scheme, prs)
-        if rank_plans is not None:
-            return base + (rank_plans[r], False)
-        if capture_plan:
-            return base + (None, True)
-        return base
-
-    run = exec_backend.run_spmd(
-        _ranking_host_program,
-        layout.nprocs,
-        make_rank_args=_rank_args,
-        shared=shared,
-        spec=spec,
-        tracer=tracer,
-        metrics=metrics,
-        faults=faults,
-        step_budget=step_budget,
-        time_budget=time_budget,
-        profile=profile,
-    )
-    ranks = layout.gather([run.results[r][0] for r in range(layout.nprocs)])
-    size = run.results[0][1]
-    if pad:
-        from .padding import crop
-
-        ranks = crop(ranks, original_shape)
-    if validate:
-        expected = mask_ranks(original_mask)
-        if not np.array_equal(ranks, expected):
-            raise AssertionError("parallel ranking mismatch vs serial oracle")
-        if size != int(np.count_nonzero(original_mask)):
-            raise AssertionError(
-                f"Size {size} != oracle {np.count_nonzero(original_mask)}")
-    plan_info = _plan_finish(
-        plan_state, run, layout.nprocs, metrics, lambda res: res[2]
-    )
-    if profiler is not None:
-        profiler.finish(run, op="ranking", spec=spec.name, plan=plan_info)
-    if profile is not None and profile.profile is not None:
-        profile.finish(op="ranking", spec=spec.name)
-    return RankingResult(
-        run=run, ranks=ranks, size=size, layout=layout,
-        tracer=tracer, metrics=metrics, _op="ranking", _spec_name=spec.name,
-        plan_info=plan_info,
-    )
+    return RankingResult(ranks=ranks, size=size, layout=layout, **common)

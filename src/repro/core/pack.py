@@ -31,6 +31,11 @@ never on the array data.  ``capture=True`` records that compile prefix
 (index maps + exact charges) into a :class:`~repro.core.plan.PackRankPlan`
 returned on ``PackLocal.rank_plan``; ``plan=<rank plan>`` replays it
 instead of recomputing, then runs only compose/comm/decompose for real.
+
+The two halves are separate steps, :func:`pack_prefix` and
+:func:`move_data`: :func:`pack_program` runs each once, and gang PACK
+(:func:`repro.core.multi.pack_many_program`) runs the prefix once and the
+data movement once per array.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ from .ranking import (
     slice_scan_lengths,
     slice_view,
 )
-from .schemes import PackConfig, Scheme
-from .storage import extract_selected, selected_from_plan
+from .schemes import PackConfig
+from .storage import SelectedElements, extract_selected, selected_from_plan
 
 __all__ = ["PackLocal", "pack_program", "result_vector_layout"]
 
@@ -154,102 +159,179 @@ def pack_program(
     compiles one while running normally and returns it on the result.
     The two are mutually exclusive.
     """
-    if plan is not None and capture:
-        raise ValueError("pack_program: plan= and capture= are mutually exclusive")
     local_array = np.asarray(local_array)
-    if local_array.shape != grid.local_shape:
+    _check_block(ctx.rank, "array", local_array, grid)
+    costs = StepCosts(local=ctx.spec.local, scheme=config.scheme, d=grid.d)
+    sel, vec, size, captured = yield from pack_prefix(
+        ctx, local_array, local_mask, grid, config, costs, phase_prefix,
+        plan=plan, capture=capture, ranking_result=ranking_result,
+        n_result=n_result, pad_block=pad_block,
+    )
+    block, e_a, gr, words_out = yield from move_data(
+        ctx, sel, vec, size, config, costs, local_array.dtype, phase_prefix,
+        pad_block=pad_block,
+    )
+    gs = sel.segment_count if config.scheme.uses_segments else 0
+
+    if ctx.metrics is not None:
+        # Per-rank redistribution quantities of Section 6: elements sent /
+        # received, message segments, and wire volume contributed.
+        ctx.count("pack.calls")
+        ctx.observe("pack.elements_out", sel.count)
+        ctx.observe("pack.elements_in", e_a)
+        ctx.observe("pack.words_out", words_out)
+        if config.scheme.uses_segments:
+            ctx.observe("pack.segments_out", gs)
+
+    return PackLocal(
+        vector_block=block,
+        size=size,
+        e_i=sel.count,
+        e_a=e_a,
+        gs=gs,
+        gr=gr,
+        words_out=words_out,
+        rank_plan=captured,
+    )
+
+
+def _check_block(rank: int, what: str, block: np.ndarray, grid: GridLayout) -> None:
+    if block.shape != grid.local_shape:
         raise ValueError(
-            f"rank {ctx.rank}: array block shape {local_array.shape} != "
+            f"rank {rank}: {what} block shape {block.shape} != "
             f"{grid.local_shape}"
         )
+
+
+def pack_prefix(
+    ctx: Context,
+    local_array: np.ndarray,
+    local_mask: np.ndarray | None,
+    grid: GridLayout,
+    config: PackConfig,
+    costs: StepCosts,
+    phase_prefix: str,
+    plan: PackRankPlan | None = None,
+    capture: bool = False,
+    ranking_result: LocalRanking | None = None,
+    n_result: int | None = None,
+    pad_block: np.ndarray | None = None,
+) -> Generator[Any, Any, tuple[SelectedElements, VectorLayout, int, PackRankPlan | None]]:
+    """PACK's compile prefix: ranking → ``sendl`` → ``rescan``.
+
+    Everything here depends only on the mask and the geometry, so a
+    compiled ``plan`` is replayed instead of recomputed (the mask may then
+    be ``None``); ``capture`` records the prefix into a
+    :class:`~repro.core.plan.PackRankPlan` while running it.  Returns
+    ``(selected elements of local_array, result vector layout, Size,
+    captured plan or None)``.
+    """
+    if plan is not None and capture:
+        raise ValueError("PACK: plan= and capture= are mutually exclusive")
     scheme = config.scheme
-    costs = StepCosts(local=ctx.spec.local, scheme=scheme, d=grid.d)
 
     if plan is not None:
-        # ------------------------- execute a compiled plan: replay the
-        # mask-dependent prefix (ranking/sendl/rescan), rebind the data.
         size = plan.size
         _check_vector_geometry(ctx.rank, size, n_result, pad_block)
         replay_charges(ctx, plan.charges, phase_prefix)
         vec = result_vector_layout(
             n_result if n_result is not None else size, ctx.size, config
         )
-        sel = selected_from_plan(plan, local_array)
-        e_i = sel.count
-        gs = sel.segment_count if scheme.uses_segments else 0
-    else:
-        local_mask = np.asarray(local_mask, dtype=bool)
-        if local_mask.shape != grid.local_shape:
-            raise ValueError(
-                f"rank {ctx.rank}: mask block shape {local_mask.shape} != "
-                f"{grid.local_shape}"
-            )
-        recorder = ChargeRecorder(ctx) if capture else None
-        t_compile = perf_counter() if capture else 0.0
+        return selected_from_plan(plan, local_array), vec, size, None
 
-        # ---------------------------------------------- stage 1: ranking
-        if ranking_result is None:
-            ranking_result = yield from ranking_program(
-                ctx,
-                local_mask,
-                grid,
-                scheme=scheme,
-                prs=config.prs,
-                phase_prefix=f"{phase_prefix}.ranking",
-            )
-        size = ranking_result.size
-        if n_result is not None and n_result < size:
-            raise ValueError(
-                f"PACK's VECTOR has {n_result} elements but the mask selects {size}"
-            )
-        _check_vector_geometry(ctx.rank, size, n_result, pad_block)
-        vec = result_vector_layout(n_result if n_result is not None else size,
-                                   ctx.size, config)
+    local_mask = np.asarray(local_mask, dtype=bool)
+    _check_block(ctx.rank, "mask", local_mask, grid)
+    recorder = ChargeRecorder(ctx) if capture else None
+    t_compile = perf_counter() if capture else 0.0
 
-        # ------------------------------ stage 2a: ranks and destinations
-        ctx.phase(f"{phase_prefix}.sendl")
-        sel = extract_selected(local_array, local_mask, ranking_result, grid, vec)
-        e_i = sel.count
-        gs = sel.segment_count if scheme.uses_segments else 0
-        ctx.work(
-            costs.final_rank_elements(
-                C=ranking_result.c, E_i=e_i, Gs_i=sel.segment_count
-            )
+    # ---------------------------------------------- stage 1: ranking
+    if ranking_result is None:
+        ranking_result = yield from ranking_program(
+            ctx,
+            local_mask,
+            grid,
+            scheme=scheme,
+            prs=config.prs,
+            phase_prefix=f"{phase_prefix}.ranking",
         )
+    size = ranking_result.size
+    if n_result is not None and n_result < size:
+        raise ValueError(
+            f"PACK's VECTOR has {n_result} elements but the mask selects {size}"
+        )
+    _check_vector_geometry(ctx.rank, size, n_result, pad_block)
+    vec = result_vector_layout(n_result if n_result is not None else size,
+                               ctx.size, config)
 
-        # ----------------------------- stage 2b: second scan (CSS/CMS)
+    # ------------------------------ stage 2a: ranks and destinations
+    ctx.phase(f"{phase_prefix}.sendl")
+    sel = extract_selected(local_array, local_mask, ranking_result, grid, vec)
+    ctx.work(
+        costs.final_rank_elements(
+            C=ranking_result.c, E_i=sel.count, Gs_i=sel.segment_count
+        )
+    )
+
+    # ----------------------------- stage 2b: second scan (CSS/CMS)
+    if not scheme.stores_records:
+        ctx.phase(f"{phase_prefix}.rescan")
+        view = slice_view(local_mask, grid)
+        scan2 = int(slice_scan_lengths(view, config.early_exit_scan).sum())
+        ctx.work(costs.second_scan(ranking_result.c, scan2))
+
+    captured = None
+    if capture:
+        phase_names = ranking_phase_names(grid.d, f"{phase_prefix}.ranking")
+        phase_names.append(f"{phase_prefix}.sendl")
         if not scheme.stores_records:
-            ctx.phase(f"{phase_prefix}.rescan")
-            view = slice_view(local_mask, grid)
-            scan2 = int(slice_scan_lengths(view, config.early_exit_scan).sum())
-            ctx.work(costs.second_scan(ranking_result.c, scan2))
+            phase_names.append(f"{phase_prefix}.rescan")
+        captured = PackRankPlan(
+            positions=sel.positions,
+            ranks=sel.ranks,
+            dests=sel.dests,
+            slice_ids=sel.slice_ids,
+            size=size,
+            charges=recorder.finish(ctx, phase_names, phase_prefix),
+            compile_wall=perf_counter() - t_compile,
+        )
+    return sel, vec, size, captured
 
-        if capture:
-            phase_names = ranking_phase_names(grid.d, f"{phase_prefix}.ranking")
-            phase_names.append(f"{phase_prefix}.sendl")
-            if not scheme.stores_records:
-                phase_names.append(f"{phase_prefix}.rescan")
-            captured = PackRankPlan(
-                positions=sel.positions,
-                ranks=sel.ranks,
-                dests=sel.dests,
-                slice_ids=sel.slice_ids,
-                size=size,
-                charges=recorder.finish(ctx, phase_names, phase_prefix),
-                compile_wall=perf_counter() - t_compile,
-            )
+
+def move_data(
+    ctx: Context,
+    sel: SelectedElements,
+    vec: VectorLayout,
+    size: int,
+    config: PackConfig,
+    costs: StepCosts,
+    dtype,
+    phase_prefix: str,
+    suffix: str = "",
+    tag: int | None = None,
+    pad_block: np.ndarray | None = None,
+) -> Generator[Any, Any, tuple[np.ndarray, int, int, int]]:
+    """PACK's data movement: compose → many-to-many exchange → in-place
+    placement into this rank's block of V, then the received-count check.
+
+    Phases are ``<phase_prefix>.{compose,comm,decompose}<suffix>``; ``tag``
+    overrides the exchange's default data tag.  ``pad_block`` fills the
+    positions past the packed data (Fortran 90's ``VECTOR``).  Returns
+    ``(block, elements received, segments received, words sent)``.
+    """
+    scheme = config.scheme
+    gs = sel.segment_count if scheme.uses_segments else 0
 
     # -------------------------------------------- stage 2c: message composition
-    ctx.phase(f"{phase_prefix}.compose")
+    ctx.phase(f"{phase_prefix}.compose{suffix}")
     if scheme.uses_segments:
         outgoing = compose_segment_messages(sel)
     else:
         outgoing = compose_pair_messages(sel)
     words = {dest: msg.words for dest, msg in outgoing.items()}
-    ctx.work(costs.compose(e_i, gs))
+    ctx.work(costs.compose(sel.count, gs))
 
     # --------------------------------- stage 2d: many-to-many communication
-    ctx.phase(f"{phase_prefix}.comm")
+    ctx.phase(f"{phase_prefix}.comm{suffix}")
     received = yield from exchange(
         ctx,
         outgoing,
@@ -257,11 +339,12 @@ def pack_program(
         schedule=config.m2m_schedule,
         self_copy_charge=config.charge_self_copy,
         reliability=config.reliability,
+        **({} if tag is None else {"tag": tag}),
     )
 
     # ----------------------------------------- stage 2e: placement into V
-    ctx.phase(f"{phase_prefix}.decompose")
-    block = np.empty(vec.local_size(ctx.rank), dtype=local_array.dtype)
+    ctx.phase(f"{phase_prefix}.decompose{suffix}")
+    block = np.empty(vec.local_size(ctx.rank), dtype=dtype)
     e_a = 0
     gr = 0
     for source in sorted(received):
@@ -272,16 +355,6 @@ def pack_program(
         else:
             e_a += place_pair_message(block, msg, vec)
     ctx.work(costs.decompose(e_a, gr))
-
-    if ctx.metrics is not None:
-        # Per-rank redistribution quantities of Section 6: elements sent /
-        # received, message segments, and wire volume contributed.
-        ctx.count("pack.calls")
-        ctx.observe("pack.elements_out", e_i)
-        ctx.observe("pack.elements_in", e_a)
-        ctx.observe("pack.words_out", sum(words.values()))
-        if scheme.uses_segments:
-            ctx.observe("pack.segments_out", gs)
 
     if pad_block is None:
         expected = block.size
@@ -303,14 +376,4 @@ def pack_program(
         raise AssertionError(
             f"rank {ctx.rank}: received {e_a} elements, expected {expected}"
         )
-
-    return PackLocal(
-        vector_block=block,
-        size=size,
-        e_i=e_i,
-        e_a=e_a,
-        gs=gs,
-        gr=gr,
-        words_out=sum(words.values()),
-        rank_plan=captured if capture else None,
-    )
+    return block, e_a, gr, sum(words.values())

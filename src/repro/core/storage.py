@@ -91,13 +91,13 @@ class SelectedElements:
 
 
 def selected_from_plan(plan, local_array: np.ndarray) -> SelectedElements:
-    """Rebind a compiled :class:`~repro.core.plan.PackRankPlan`'s
-    mask-derived vectors to fresh data.
+    """Rebind mask-derived vectors to fresh data.
 
-    Everything but the values is mask-derived and comes straight from the
-    plan; only the gather of the selected elements happens per call —
-    the same rebinding :func:`repro.core.multi.pack_many_program` does
-    between arrays of one gang, generalized across calls.
+    ``plan`` is anything carrying ``positions`` / ``ranks`` / ``dests`` /
+    ``slice_ids``: a compiled :class:`~repro.core.plan.PackRankPlan` (a
+    plan hit, across calls) or another array's :class:`SelectedElements`
+    (the later arrays of one gang PACK).  Only the gather of the selected
+    values happens per array.
     """
     return SelectedElements(
         positions=plan.positions,

@@ -180,8 +180,8 @@ def test_gang_pack_shares_plan_with_solo_pack():
 
     solo = pack(array, mask, P, scheme="cms", validate=False, plan_cache=cache)
     assert solo.plan_info["cache"] == "miss"
-    vectors, _ = pack_many([array] + others, mask, P, scheme="cms",
-                           validate=False, plan_cache=cache)
+    vectors = pack_many([array] + others, mask, P, scheme="cms",
+                        validate=False, plan_cache=cache).vectors
     assert cache.stats().hits == 1  # the gang replayed the solo plan
     for arr, vec in zip([array] + others, vectors):
         np.testing.assert_array_equal(vec, pack_reference(arr, mask))
